@@ -40,6 +40,12 @@ faster, via three mechanisms:
 
 Estimator reports are *never* memoized: resource estimates depend on
 every parameter, and the paper's methodology estimates each point.
+What is shared is the bank-conflict layer underneath them: each sweep
+call owns one access-profile memo (per worker process on the pool
+path), so an access context repeated across design points is analyzed
+once — exactly, see :func:`repro.hls.banking.analyze_kernel`. The memo
+is never module-global: concurrent sweeps in service threads each get
+their own, and it dies with the call.
 """
 
 from __future__ import annotations
@@ -109,6 +115,11 @@ class EngineStats:
     points_evaluated: int = 0         # frontier mode: full estimates
                                       # actually run (≤ points)
     frontier_versions: int = 0        # frontier mode: skyline mutations
+    bank_analyses: int = 0            # exhaustive mode: access bank
+                                      # analyses actually run
+    bank_memo_hits: int = 0           # exhaustive mode: accesses served
+                                      # from the sweep's profile memo
+                                      # (analyses + hits == accesses)
 
     @property
     def points_per_sec(self) -> float:
@@ -131,6 +142,8 @@ class EngineStats:
             "points_proposed": self.points_proposed,
             "points_evaluated": self.points_evaluated,
             "frontier_versions": self.frontier_versions,
+            "bank_analyses": self.bank_analyses,
+            "bank_memo_hits": self.bank_memo_hits,
         }
 
 
@@ -218,15 +231,22 @@ def _check_config(source_builder: SourceBuilder,
     return verdict, parses, checked, reused
 
 
+#: Work counters one chunk reports, named after the
+#: :class:`EngineStats` fields they are summed into.
+_COUNTERS = ("checker_runs", "memo_hits", "parses", "fn_checked",
+             "fn_reused", "bank_analyses", "bank_memo_hits")
+
+
 def _evaluate_chunk(configs: Sequence[dict[str, int]],
                     source_builder: SourceBuilder,
                     kernel_builder: KernelBuilder,
                     key_fn: Callable[[dict[str, int]], Any] | None,
                     memo: dict[Any, tuple[bool, str | None]] | None,
-                    fn_store: FunctionVerdictStore | None = None,
-                    ) -> tuple[list[_Row], int, int, int, int, int]:
-    """Evaluate configurations in order; returns (rows, runs, hits,
-    parses, fn_checked, fn_reused).
+                    fn_store: FunctionVerdictStore | None,
+                    bank_memo: dict,
+                    ) -> tuple[list[_Row], dict[str, int]]:
+    """Evaluate configurations in order; returns the rows and the
+    chunk's ``_COUNTERS``.
 
     The memo key is the builder's ``acceptance_key`` projection when
     available (collapsing configurations that agree on the
@@ -236,12 +256,18 @@ def _evaluate_chunk(configs: Sequence[dict[str, int]],
     duplicates. The source is built at most once per point, and with a
     template family it is never parsed — checker runs consume
     substituted ASTs, function-grained when a verdict store is given.
+
+    Every estimate shares ``bank_memo``, the sweep's access-profile
+    memo (:func:`repro.hls.banking.analyze_kernel`): an access context
+    seen before in the sweep costs a dict lookup, not a bank analysis.
     """
     family = getattr(source_builder, FAMILY_ATTR, None)
     rows: list[_Row] = []
     checker_runs = 0
     memo_hits = 0
     parses = 0
+    accesses = 0
+    analyses = len(bank_memo)
     fn_checked = fn_store.checked if fn_store is not None else 0
     fn_reused = fn_store.reused if fn_store is not None else 0
     for config in configs:
@@ -267,14 +293,26 @@ def _evaluate_chunk(configs: Sequence[dict[str, int]],
             else:
                 accepted, rejection = cached
                 memo_hits += 1
-        report = estimate(kernel_builder(config))
+        kernel = kernel_builder(config)
+        accesses += len(kernel.accesses)
+        report = estimate(kernel, memo=bank_memo)
         rows.append((accepted, rejection, report))
     if fn_store is not None:
         fn_checked = fn_store.checked - fn_checked
         fn_reused = fn_store.reused - fn_reused
     else:
         fn_checked = fn_reused = 0
-    return rows, checker_runs, memo_hits, parses, fn_checked, fn_reused
+    analyses = len(bank_memo) - analyses      # every miss adds one entry
+    return rows, {"checker_runs": checker_runs, "memo_hits": memo_hits,
+                  "parses": parses, "fn_checked": fn_checked,
+                  "fn_reused": fn_reused, "bank_analyses": analyses,
+                  "bank_memo_hits": accesses - analyses}
+
+
+def _record_counts(span: Any, counts: dict[str, int]) -> None:
+    """Attach a chunk's work counters to its ``dse.chunk`` span."""
+    for name, value in counts.items():
+        span.set_attr(name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +335,16 @@ def _init_worker(source_builder: SourceBuilder,
     # Per-worker function-verdict store: hole-free helper defs shared
     # across a sweep's design points are checked once per process.
     _worker["fn_store"] = FunctionVerdictStore() if memoize else None
+    # Per-worker access-profile memo; the worker lives for one sweep.
+    _worker["bank_memo"] = {}
 
 
-def _run_chunk(task: tuple[int, Sequence[dict[str, int]]],
-               ) -> tuple[int, list[_Row], int, int, int, int, int]:
-    chunk_id, configs = task
-    rows, runs, hits, parses, fn_checked, fn_reused = _evaluate_chunk(
+def _run_chunk(configs: Sequence[dict[str, int]],
+               ) -> tuple[list[_Row], dict[str, int]]:
+    return _evaluate_chunk(
         configs, _worker["source_builder"], _worker["kernel_builder"],
-        _worker["key_fn"], _worker["memo"], _worker["fn_store"])
-    return chunk_id, rows, runs, hits, parses, fn_checked, fn_reused
+        _worker["key_fn"], _worker["memo"], _worker["fn_store"],
+        _worker["bank_memo"])
 
 
 def _chunk_worker_main(conn: Any,
@@ -342,11 +381,11 @@ def _chunk_worker_main(conn: Any,
             error: str | None = None
             with telemetry.adopted(trace_context) as collect:
                 with telemetry.span("dse.chunk", chunk=chunk_id,
-                                    points=len(task[1])):
+                                    points=len(task[1])) as chunk_span:
                     try:
                         fault_point("dse.worker")
-                        _, *parts = _run_chunk(task)
-                        payload = tuple(parts)
+                        payload = _run_chunk(task[1])
+                        _record_counts(chunk_span, payload[1])
                     except Exception as exc:          # noqa: BLE001
                         error = f"{type(exc).__name__}: {exc}"
                         telemetry.add_event("error", message=error)
@@ -406,6 +445,7 @@ def _supervised_fan_out(chunks: Sequence[Sequence[dict[str, int]]],
     completed_points = 0
     fallback_memo = dict(verdicts) if memoize else None
     fallback_store = FunctionVerdictStore() if memoize else None
+    fallback_bank_memo: dict = {}
 
     def spawn() -> _WorkerHandle:
         parent_conn, child_conn = context.Pipe()
@@ -487,10 +527,12 @@ def _supervised_fan_out(chunks: Sequence[Sequence[dict[str, int]]],
                     pending.popleft()
                     with telemetry.span("dse.chunk", chunk=chunk_id,
                                         points=len(configs),
-                                        inline=True):
+                                        inline=True) as chunk_span:
                         payload = _evaluate_chunk(
                             configs, source_builder, kernel_builder,
-                            key_fn, fallback_memo, fallback_store)
+                            key_fn, fallback_memo, fallback_store,
+                            fallback_bank_memo)
+                        _record_counts(chunk_span, payload[1])
                     record(payload, chunk_id)
                     continue
                 idle = next((h for h in fleet
@@ -612,7 +654,8 @@ def sweep(space: ParameterSpace | Iterable[dict[str, int]],
         if stats is not None:
             for attr in ("points", "workers", "chunk_size",
                          "checker_runs", "memo_hits", "parses",
-                         "requeued", "lost_workers"):
+                         "requeued", "lost_workers", "bank_analyses",
+                         "bank_memo_hits"):
                 sweep_span.set_attr(attr, getattr(stats, attr))
         return result
 
@@ -652,6 +695,12 @@ def _sweep(space: ParameterSpace | Iterable[dict[str, int]],
     process only — prefilling it would serialize source generation in
     the parent — so duplicate sources may be re-checked once per
     worker. The shipped generators all carry key projections.
+
+    The access-profile memo is always on and exact: one dict for the
+    inline path, one per pool worker and one for the parent's inline
+    fallback, all discarded when the call returns. ``bank_analyses``
+    and ``bank_memo_hits`` in the stats split the estimated accesses
+    between them.
     """
     configs = list(space)
     n_workers = resolve_workers(workers)
@@ -661,34 +710,29 @@ def _sweep(space: ParameterSpace | Iterable[dict[str, int]],
 
     started = time.perf_counter()
     rows: list[_Row] = []
-    checker_runs = 0
-    memo_hits = 0
-    parses = 0
-    fn_checked = 0
-    fn_reused = 0
+    totals: collections.Counter = collections.Counter()
     requeued = 0
     lost_workers = 0
 
     if n_workers <= 1 or len(chunks) <= 1:
-        # Inline path — same memoization, no pool overhead.
+        # Inline path — same memoization, no pool overhead. The
+        # access-profile memo lives for this call only.
         used_workers = 1
         key_fn = getattr(source_builder, ACCEPTANCE_KEY_ATTR, None)
         memo: dict[Any, tuple[bool, str | None]] | None = (
             {} if memoize else None)
         fn_store = FunctionVerdictStore() if memoize else None
+        bank_memo: dict = {}
         for index, chunk in enumerate(chunks):
             with telemetry.span("dse.chunk", chunk=index,
-                                points=len(chunk), inline=True):
-                chunk_rows, runs, hits, chunk_parses, fnc, fnr = \
-                    _evaluate_chunk(chunk, source_builder,
-                                    kernel_builder, key_fn, memo,
-                                    fn_store)
+                                points=len(chunk),
+                                inline=True) as chunk_span:
+                chunk_rows, counts = _evaluate_chunk(
+                    chunk, source_builder, kernel_builder, key_fn, memo,
+                    fn_store, bank_memo)
+                _record_counts(chunk_span, counts)
             rows.extend(chunk_rows)
-            checker_runs += runs
-            memo_hits += hits
-            parses += chunk_parses
-            fn_checked += fnc
-            fn_reused += fnr
+            totals.update(counts)
             if progress is not None:
                 progress(len(rows))
         if progress is not None and not chunks:
@@ -712,7 +756,7 @@ def _sweep(space: ParameterSpace | Iterable[dict[str, int]],
             before = family.parse_count
             for config in configs:
                 family.template_for(config)
-            parses += family.parse_count - before
+            totals["parses"] += family.parse_count - before
         verdicts: dict[Any, tuple[bool, str | None]] = {}
         if memoize and key_fn is not None:
             reps: dict[Any, dict[str, int]] = {}
@@ -724,9 +768,9 @@ def _sweep(space: ParameterSpace | Iterable[dict[str, int]],
                     reps.values(), workers=n_workers)
             verdicts = dict(zip(reps.keys(),
                                 (verdict for verdict, *_ in outcomes)))
-            parses += sum(ran_parses for _, ran_parses, _, _ in outcomes)
-            fn_checked += sum(fnc for _, _, fnc, _ in outcomes)
-            fn_reused += sum(fnr for _, _, _, fnr in outcomes)
+            for _, ran_parses, fnc, fnr in outcomes:
+                totals.update(parses=ran_parses, fn_checked=fnc,
+                              fn_reused=fnr)
         context = _pool_context()
         used_workers = min(n_workers, len(chunks))
         # Workers spawned inside this scope (including supervisor
@@ -743,20 +787,15 @@ def _sweep(space: ParameterSpace | Iterable[dict[str, int]],
         # are keyed by chunk id, so assembly restores enumeration
         # order exactly.
         for chunk_id in range(len(chunks)):
-            chunk_rows, runs, hits, chunk_parses, fnc, fnr = \
-                results[chunk_id]
+            chunk_rows, counts = results[chunk_id]
             assert chunk_id * size == len(rows), "chunk order broken"
             rows.extend(chunk_rows)
-            checker_runs += runs
-            memo_hits += hits
-            parses += chunk_parses
-            fn_checked += fnc
-            fn_reused += fnr
+            totals.update(counts)
         # With a prefilled memo every point is a hit; fold the parent's
         # per-key runs back in so the accounting matches the inline
         # path (runs + hits == points).
-        checker_runs += len(verdicts)
-        memo_hits -= len(verdicts)
+        totals.update(checker_runs=len(verdicts))
+        totals.subtract(memo_hits=len(verdicts))
 
     elapsed = time.perf_counter() - started
     points = [DesignPoint(config=config, accepted=accepted,
@@ -765,10 +804,8 @@ def _sweep(space: ParameterSpace | Iterable[dict[str, int]],
               in zip(configs, rows)]
     return DseResult(points=points, stats=EngineStats(
         points=len(points), elapsed_s=elapsed, workers=used_workers,
-        chunk_size=size, checker_runs=checker_runs,
-        memo_hits=memo_hits, parses=parses,
-        fn_checked=fn_checked, fn_reused=fn_reused,
-        requeued=requeued, lost_workers=lost_workers))
+        chunk_size=size, requeued=requeued, lost_workers=lost_workers,
+        **{name: totals[name] for name in _COUNTERS}))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,30 @@ processing element (PE) touches. From that it derives the quantities
   fan out (they count once, §3.1); writes always count.
 * ``aligned`` — every PE owns a static set of banks disjoint from the
   others (the "unrolling divides banking" unwritten rule).
+
+Element ``v`` of dimension ``d`` lives in bank ``v mod f_d`` at address
+``v // f_d``, and the per-dimension addresses fold with the stride
+``dims[d] // f_d`` (floor). On an *unevenly* banked array that stride
+is too small, so distinct elements can alias to one (bank, address)
+pair and reads of them count as one fanned-out access. For example
+stencil2d's ``filter`` (dims (3, 3), partition (1, 2), both loops
+unrolled 3×) reports a read ``port_pressure`` of 4 where an injective
+layout would give 6. The aliasing is pinned by the test suite rather
+than fixed: changing it would move the calibrated figures.
+
+A sweep estimates thousands of kernels whose accesses repeat. An
+access's profile is a pure function of a small context (see
+:func:`_profile_keys`), so :func:`analyze_kernel` takes an optional
+memo — a plain dict owned by the caller, e.g. one per DSE sweep — that
+maps a 16-byte digest of that context to the profile's fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import blake2b
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -30,6 +48,9 @@ _MAX_PES = 4096
 _SAMPLES_PER_LOOP = 3
 #: Cap on total iteration samples.
 _MAX_SAMPLES = 64
+
+#: Memo value: the profile fields after ``access``.
+_Fields = tuple[int, int, bool, bool, bool]
 
 
 @dataclass(frozen=True)
@@ -60,14 +81,16 @@ class ArrayProfile:
     regular: bool
 
 
+def _loop_picks(total: int) -> list[int]:
+    """Sampled sequential iterations of one loop."""
+    picks = sorted({0, 1, total // 2, total - 1} & set(range(total)))
+    return picks[:_SAMPLES_PER_LOOP + 1] or [0]
+
+
 def _loop_samples(kernel: KernelSpec) -> np.ndarray:
     """A deterministic sample of sequential iteration vectors."""
-    per_loop: list[list[int]] = []
-    for loop in kernel.loops:
-        total = loop.iterations
-        picks = sorted({0, 1, total // 2, total - 1} & set(range(total)))
-        per_loop.append(picks[:_SAMPLES_PER_LOOP + 1] or [0])
-    combos = list(product(*per_loop))
+    combos = list(product(*(_loop_picks(loop.iterations)
+                            for loop in kernel.loops)))
     if len(combos) > _MAX_SAMPLES:
         stride = len(combos) // _MAX_SAMPLES
         combos = combos[::stride][:_MAX_SAMPLES]
@@ -93,10 +116,7 @@ def analyze_access(kernel: KernelSpec, access: AccessSpec,
         samples = _loop_samples(kernel)
     if offsets is None:
         offsets = _pe_offsets(kernel)
-    n_samples, n_pes = len(samples), len(offsets)
-    loop_names = [loop.name for loop in kernel.loops]
-    unrolls = np.array([loop.unroll for loop in kernel.loops],
-                       dtype=np.int64)
+    n_pes = len(offsets)
 
     if any(index.dynamic for index in access.indices):
         # Data-dependent index: any PE may hit any bank; the scheduler
@@ -110,96 +130,90 @@ def analyze_access(kernel: KernelSpec, access: AccessSpec,
             crossbar=total_banks >= 4,
             dynamic=True)
 
-    # PEs from unroll dimensions the access does not mention produce
-    # identical traces — the hardware fans one port out to them (§3.1).
-    # Unmentioned loops contribute nothing to the index values, so one
-    # representative per mentioned-offset tuple carries the whole
-    # group's trace; the trace matrices are built over representatives
-    # only (often 8× fewer columns), with each representative's fan-out
-    # multiplicity kept for the write-pressure count below.
-    mentioned = [pos for pos, name in enumerate(loop_names)
-                 if any(index.coeff(name) for index in access.indices)]
-    if mentioned:
-        pe_key = np.zeros(n_pes, dtype=np.int64)
-        stride = 1
-        for pos in mentioned:
-            pe_key += offsets[:, pos] * stride
-            stride *= int(unrolls[pos])
-        _, rep_rows, rep_counts = np.unique(
-            pe_key, return_index=True, return_counts=True)
+    # The index value of dim d at sample s on PE p is
+    #   const_d + Σ_loop coeff·(unroll·seq_s + offset_p)
+    #   = base[s, d] + par[p, d],
+    # a per-sample part plus a per-PE part.
+    dims = array.dims
+    factors = array.partition
+    total_banks = array.total_banks
+    indices = access.indices[:len(dims)]
+    coeffs = np.array([[index.coeff(loop.name) for index in indices]
+                       for loop in kernel.loops],
+                      dtype=np.int64).reshape(len(kernel.loops),
+                                              len(indices))   # (L, D)
+    unrolls = np.array([[loop.unroll] for loop in kernel.loops],
+                       dtype=np.int64).reshape(len(kernel.loops), 1)
+    base = samples @ (coeffs * unrolls) + np.array(
+        [index.const for index in indices], dtype=np.int64)   # (S, D)
+
+    # PEs with equal ``par`` have identical traces — those from unroll
+    # dimensions the access does not mention, and collisions such as
+    # an i+j index — so one representative per distinct ``par`` row
+    # carries the trace, weighted by how many PEs share it (§3.1's
+    # fan-out). Every later step works on the representatives only.
+    # The rows are grouped with a lexsort: ``np.unique(axis=0)`` gives
+    # the same groups but sorts a structured view, 2.4-7× slower here.
+    par = offsets @ coeffs                                    # (P, D)
+    if len(indices):                       # else: one group, any order
+        par = par[np.lexsort(par.T)]
+    first = np.ones(len(par), dtype=bool)
+    first[1:] = (par[1:] != par[:-1]).any(axis=1)
+    starts = first.nonzero()[0]
+    reps = par[starts]                                        # (R, D)
+    weights = np.diff(starts, append=len(par))
+
+    # Banks add digit-wise: bank(s, p) = (base[s] + par[p]) mod f, per
+    # dim. For a fixed PE that is a bijective shift of the sample
+    # banks, so every PE reaches exactly as many banks as the samples
+    # span (the mux degree), and in every sample the per-bank load is
+    # the same shifted histogram of the PEs' own bank offsets.
+    factor_arr = np.array(factors, dtype=np.int64)
+    bank_strides = [prod(factors[dim + 1:]) for dim in range(len(dims))]
+    stride_arr = np.array(bank_strides, dtype=np.int64)
+    sample_banks = np.bincount(base % factor_arr @ stride_arr).nonzero()[0]
+    rep_banks = reps % factor_arr @ stride_arr                # (R,)
+    per_offset = np.bincount(rep_banks)     # representatives per offset
+    mux_degree = len(sample_banks)
+
+    # Element v of dim d sits at bank v mod f and address v // f, the
+    # addresses folded with stride dims // f. While every inner dim's
+    # values stay in [0, (dims // f)·f) that layout is injective, so
+    # distinct representatives are distinct trace columns and never
+    # share a read address. Otherwise (uneven banking, out-of-bounds
+    # indices) build the (bank, address) traces and deduplicate them.
+    lowest = (base.min(axis=0) + reps.min(axis=0)).tolist()
+    highest = (base.max(axis=0) + reps.max(axis=0)).tolist()
+    injective = all(
+        lowest[dim] >= 0
+        and highest[dim] < max(1, dims[dim] // factors[dim]) * factors[dim]
+        for dim in range(1, len(dims)))
+    if injective:
+        columns = len(reps)
+        reads = per_offset
     else:
-        rep_rows = np.zeros(1, dtype=np.int64)
-        rep_counts = np.array([n_pes], dtype=np.int64)
-    reps = offsets[rep_rows]
-    n_reps = len(reps)
+        columns, reads = _aliased_traces(array, base, reps)
 
-    # index value per dim: const + Σ coeff·(unroll·q + r)
-    banks = np.zeros((n_samples, n_reps), dtype=np.int64)
-    addresses = np.zeros((n_samples, n_reps), dtype=np.int64)
-    bank_stride = 1
-    addr_stride = 1
-    for dim in range(len(array.dims) - 1, -1, -1):
-        index = access.indices[dim]
-        factor = array.partition[dim]
-        values = np.full((n_samples, n_reps), index.const, dtype=np.int64)
-        for loop_pos, name in enumerate(loop_names):
-            coeff = index.coeff(name)
-            if coeff == 0:
-                continue
-            seq = samples[:, loop_pos] * unrolls[loop_pos]   # (S,)
-            par = reps[:, loop_pos]                          # (R,)
-            values += coeff * (seq[:, None] + par[None, :])
-        banks += np.mod(values, factor) * bank_stride
-        addresses += (values // factor) * addr_stride
-        bank_stride *= factor
-        addr_stride *= max(1, array.dims[dim] // factor)
+    # Regularity: the per-PE bank sets — shifts of the sample banks by
+    # each column's offset — must be pairwise disjoint (unrolling
+    # "divides" banking, §2.1's unwritten rule): the offsets are
+    # distinct, the sets hold at most ``total_banks`` banks between
+    # them, and no two shifted copies overlap.
+    offsets_seen = per_offset.nonzero()[0]
+    regular = (len(offsets_seen) == columns
+               and mux_degree * columns <= total_banks)
+    if regular and mux_degree > 1 and columns > 1:
+        shifted = ((sample_banks[:, None, None] // stride_arr % factor_arr)
+                   + (offsets_seen[None, :, None] // stride_arr
+                      % factor_arr)) % factor_arr @ stride_arr
+        regular = int(np.count_nonzero(np.bincount(shifted.ravel()))) \
+            == shifted.size
 
-    # Distinct mentioned offsets can still collide on values (e.g. an
-    # i+j index), so deduplicate identical (bank, address) trace
-    # columns among the representatives before the mux analysis.
-    shifted = addresses - addresses.min()
-    addr_span = int(shifted.max()) + 1
-    combined = banks * addr_span + shifted           # injective fold
-    columns = np.ascontiguousarray(combined.T)
-    as_void = columns.view(
-        np.dtype((np.void, columns.dtype.itemsize * columns.shape[1])))
-    _, keep = np.unique(as_void.ravel(), return_index=True)
-    banks_distinct = banks[:, keep]
-
-    # Mux degree: distinct banks each effective PE sees across time.
-    # Regularity: the per-PE bank sets are pairwise disjoint (they
-    # partition the banks) exactly when the unrolling "divides" the
-    # banking — §2.1's unwritten rule. Disjointness ⟺ Σ|banks_pe| ==
-    # |∪ banks_pe|. Count distinct values per column in one batched
-    # sort+diff instead of a per-PE Python loop.
-    sorted_cols = np.sort(banks_distinct, axis=0)
-    distinct_per_pe = np.ones(sorted_cols.shape[1], dtype=np.int64)
-    if sorted_cols.shape[0] > 1:
-        distinct_per_pe += (np.diff(sorted_cols, axis=0) != 0).sum(axis=0)
-    mux_degree = max(1, int(distinct_per_pe.max(initial=1)))
-    per_pe_total = int(distinct_per_pe.sum())
-    union_size = len(np.unique(banks_distinct))
-    regular = per_pe_total == union_size
-
-    # Port pressure: worst per-bank simultaneous load in one iteration.
-    # Fold (sample, bank[, address]) into flat integer keys so the whole
-    # matrix is grouped with batched counting instead of a Python loop
-    # over samples.
-    total_banks = bank_stride                 # banks ∈ [0, total_banks)
-    sample_ids = np.arange(n_samples, dtype=np.int64)[:, None]
-    bank_keys = sample_ids * total_banks + banks             # (S, R)
     if access.is_write:
-        # Writes always count — every fanned-out copy of a
-        # representative hits its bank, so weight by multiplicity.
-        weights = np.broadcast_to(
-            rep_counts.astype(np.float64), bank_keys.shape)
-        counts = np.bincount(bank_keys.ravel(),
-                             weights=weights.ravel())
+        # Writes always count — every fanned-out copy hits its bank.
+        pressure = int(np.bincount(rep_banks, weights=weights).max())
     else:
-        # Identical (bank, address) pairs fan out — count once.
-        triples = np.unique(bank_keys * addr_span + shifted)
-        _, counts = np.unique(triples // addr_span, return_counts=True)
-    pressure = int(counts.max())
+        pressure = int(reads.max())
 
     return AccessProfile(
         access=access,
@@ -210,13 +224,102 @@ def analyze_access(kernel: KernelSpec, access: AccessSpec,
         dynamic=False)
 
 
-def analyze_kernel(kernel: KernelSpec) -> dict[str, ArrayProfile]:
-    """Profile every array of the kernel."""
-    samples = _loop_samples(kernel)
-    offsets = _pe_offsets(kernel)
-    profiles: dict[str, list[AccessProfile]] = {}
+def _aliased_traces(array: ArraySpec, base: np.ndarray,
+                    reps: np.ndarray) -> tuple[int, np.ndarray]:
+    """Distinct (bank, address) trace columns, and per-(sample, bank)
+    distinct read addresses, where values may alias."""
+    n_samples, n_reps = len(base), len(reps)
+    banks = np.zeros((n_samples, n_reps), dtype=np.int64)
+    addresses = np.zeros((n_samples, n_reps), dtype=np.int64)
+    bank_stride = 1
+    addr_stride = 1
+    for dim in range(len(array.dims) - 1, -1, -1):
+        factor = array.partition[dim]
+        quotient, remainder = np.divmod(
+            base[:, dim, None] + reps[None, :, dim], factor)
+        banks += remainder * bank_stride
+        addresses += quotient * addr_stride
+        bank_stride *= factor
+        addr_stride *= max(1, array.dims[dim] // factor)
+
+    shifted = addresses - addresses.min()
+    addr_span = int(shifted.max()) + 1
+    combined = banks * addr_span + shifted           # injective fold
+    columns = np.ascontiguousarray(combined.T)
+    as_void = columns.view(
+        np.dtype((np.void, columns.dtype.itemsize * columns.shape[1])))
+    n_columns = len(np.unique(as_void.ravel()))
+
+    # Identical (bank, address) pairs in one sample fan out — count once.
+    sample_ids = np.arange(n_samples, dtype=np.int64)[:, None]
+    triples = np.unique(sample_ids * (bank_stride * addr_span) + combined)
+    _, reads = np.unique(triples // addr_span, return_counts=True)
+    return n_columns, reads
+
+
+def _profile_keys(kernel: KernelSpec) -> list[bytes]:
+    """Exact memo key of each access's profile.
+
+    A profile depends on the access, its array's dims and partition,
+    and — when neither the ``_MAX_SAMPLES`` nor the ``_MAX_PES`` stride
+    cap fires — only on the ``(name, iterations, unroll)`` of the
+    loops the access mentions, plus, for a write, the product of the
+    other loops' unrolls. Without a cap the samples and PE offsets are
+    full Cartesian products, so an unmentioned loop only repeats
+    sample rows (which changes no max, set or per-sample count) and
+    multiplies every representative's fan-out by its unroll (which only
+    writes count). A capped stride mixes the loops, and a dynamic
+    access's pressure is the PE count, so those key on every loop.
+    """
+    loops = [(loop.name, loop.iterations, loop.unroll)
+             for loop in kernel.loops]
+    capped = (prod(len(_loop_picks(iterations))
+                   for _, iterations, _ in loops) > _MAX_SAMPLES
+              or prod(unroll for *_, unroll in loops) > _MAX_PES)
+    keys = []
     for access in kernel.accesses:
-        profile = analyze_access(kernel, access, samples, offsets)
+        array = kernel.array(access.array)
+        if capped or any(index.dynamic for index in access.indices):
+            context: tuple = ("all", tuple(loops))
+        else:
+            used = [any(index.coeff(name) for index in access.indices)
+                    for name, _, _ in loops]
+            fan_out = (prod(loop[2] for loop, hit in zip(loops, used)
+                            if not hit) if access.is_write else 1)
+            context = ("mentioned", tuple(
+                loop for loop, hit in zip(loops, used) if hit), fan_out)
+        canonical = repr((access, array.dims, array.partition, context))
+        keys.append(blake2b(canonical.encode(), digest_size=16).digest())
+    return keys
+
+
+def analyze_kernel(kernel: KernelSpec,
+                   memo: dict[bytes, _Fields] | None = None,
+                   ) -> dict[str, ArrayProfile]:
+    """Profile every array of the kernel.
+
+    With a ``memo`` (a caller-owned dict, empty at first), an access
+    whose context was analyzed before is served from it, and only the
+    others reach :func:`analyze_access`; the profiles are identical
+    either way. The memo holds one 16-byte key and one small tuple per
+    distinct context.
+    """
+    keys = _profile_keys(kernel) if memo is not None else None
+    samples = offsets = None
+    profiles: dict[str, list[AccessProfile]] = {}
+    for position, access in enumerate(kernel.accesses):
+        fields = memo.get(keys[position]) if keys is not None else None
+        if fields is not None:
+            profile = AccessProfile(access, *fields)
+        else:
+            if samples is None:
+                samples = _loop_samples(kernel)
+                offsets = _pe_offsets(kernel)
+            profile = analyze_access(kernel, access, samples, offsets)
+            if keys is not None:
+                memo[keys[position]] = (
+                    profile.mux_degree, profile.port_pressure,
+                    profile.regular, profile.crossbar, profile.dynamic)
         profiles.setdefault(access.array, []).append(profile)
 
     result: dict[str, ArrayProfile] = {}

@@ -86,9 +86,16 @@ def _is_incorrect(kernel: KernelSpec,
     return has_crossbar and sched.epilogue_loops > 0
 
 
-def estimate(kernel: KernelSpec, noise_seed: str = "") -> Report:
-    """Run the full estimation pipeline on a kernel."""
-    profiles = analyze_kernel(kernel)
+def estimate(kernel: KernelSpec, noise_seed: str = "",
+             memo: dict | None = None) -> Report:
+    """Run the full estimation pipeline on a kernel.
+
+    ``memo`` is passed to :func:`~repro.hls.banking.analyze_kernel`: a
+    caller-owned dict that lets repeated access contexts (a DSE sweep
+    has thousands) share one bank analysis. The report is the same
+    with or without it.
+    """
+    profiles = analyze_kernel(kernel, memo)
     sched = schedule(kernel, profiles)
     resources = estimate_resources(kernel, profiles, sched, noise_seed)
     return Report(

@@ -305,9 +305,11 @@ class JobManager:
                 return
             record.update(changes)
             record["updated"] = time.time()
-            snapshot = self._snapshot(record)
-        if self.spool is not None:
-            self.spool.write(snapshot)
+            # Mirror to the spool before the lock lets a local reader
+            # see the change: a client told "done" here may ask another
+            # node next, which only has the spool.
+            if self.spool is not None:
+                self.spool.write(self._snapshot(record))
 
     def _append_update(self, job_id: str, update: dict) -> None:
         with self._lock:
@@ -320,9 +322,8 @@ class JobManager:
                 record["frontier_version"],
                 int(update.get("version", 0)))
             record["updated"] = time.time()
-            snapshot = self._snapshot(record)
-        if self.spool is not None:
-            self.spool.write(snapshot)
+            if self.spool is not None:
+                self.spool.write(self._snapshot(record))
 
     # -- reads (any process) ------------------------------------------------
 

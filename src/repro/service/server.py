@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -223,20 +224,32 @@ class WorkerBoard:
         self.root.mkdir(parents=True, exist_ok=True)
         self.worker = worker
         self._lock = threading.Lock()
+        self._tickets = itertools.count()
+        self._written = -1                   # newest ticket on disk
         reap_temp_debris(self.root)          # crash orphans from publish()
 
     def path_for(self, worker: int) -> Path:
         return self.root / f"worker-{worker}.json"
 
-    def publish(self, payload: dict) -> None:
+    def ticket(self) -> int:
+        """Order a publish: draw this before reading the counters."""
+        return next(self._tickets)
+
+    def publish(self, payload: dict, ticket: int | None = None) -> None:
         """Atomically replace this worker's stats file.
 
-        The snapshot is taken under the lock, so concurrent publishers
-        in one process cannot overwrite newer counters with older ones.
+        Writes are serialized under the lock. A payload whose
+        :meth:`ticket` is older than the one last written is dropped,
+        so a slow publisher never overwrites newer counters with older
+        ones.
         """
         if self.worker is None:
             return
         with self._lock:
+            if ticket is not None:
+                if ticket < self._written:
+                    return
+                self._written = ticket
             record = {
                 "worker": self.worker,
                 "pid": os.getpid(),
@@ -878,9 +891,16 @@ class DahliaService:
         }
 
     def publish_stats(self) -> None:
-        """Push this worker's snapshot to the board (no-op unboarded)."""
+        """Push this worker's snapshot to the board (no-op unboarded).
+
+        Executor threads publish concurrently. The ticket, drawn before
+        the snapshot, lets the board drop a snapshot that loses the race
+        to a later one; the later one was taken after this call began,
+        so it still covers every request answered before it.
+        """
         if self.board is not None:
-            self.board.publish({"metrics": self.local_metrics()})
+            ticket = self.board.ticket()
+            self.board.publish({"metrics": self.local_metrics()}, ticket)
 
     def metrics(self) -> dict:
         """``/metrics``: solo counters, or fleet totals when boarded.
@@ -1232,6 +1252,45 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Reject header blocks larger than this, counting names and values —
 #: the body bound alone would leave the header loop unbounded.
 MAX_HEADER_BYTES = 64 * 1024
+
+#: Bounds of the lingering close after an early error response: how
+#: long, and how many bytes, the server keeps reading (and discarding)
+#: what the client is still sending before it closes.
+LINGER_S = 2.0
+LINGER_BYTES = 1024 * 1024
+
+#: Error statuses answered before the request was served; the
+#: connection closes after them with a lingering close.
+_EARLY_ERRORS = frozenset({400, 429, 503})
+
+
+async def _lingering_close(reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter) -> None:
+    """Half-close, then drain the client's remaining input (bounded).
+
+    Closing a socket that still holds unread input makes the kernel
+    send a reset, which can reach the client before the error response
+    it just wrote. Sending FIN first and reading until the client's EOF
+    (or the bounds) lets the response arrive intact.
+    """
+    await writer.drain()
+    if writer.can_write_eof():
+        writer.write_eof()
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + LINGER_S
+    drained = 0
+    while drained < LINGER_BYTES:
+        remaining = deadline - loop.time()
+        if remaining <= 0:
+            return
+        try:
+            chunk = await asyncio.wait_for(reader.read(64 * 1024),
+                                           remaining)
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            return
+        if not chunk:
+            return
+        drained += len(chunk)
 
 
 def _response_bytes(status: int, body: bytes, keep_alive: bool,
@@ -1600,6 +1659,7 @@ class ServiceServer:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        linger = False               # closing right after an early error
         try:
             while True:
                 try:
@@ -1610,7 +1670,7 @@ class ServiceServer:
                     # StreamReader's 64 KiB limit.
                     body = encode_payload({"ok": False, "error": str(error)})
                     writer.write(_response_bytes(400, body, False))
-                    await writer.drain()
+                    linger = True
                     break
                 if request is None:
                     break
@@ -1722,6 +1782,7 @@ class ServiceServer:
                                                  response_headers))
                 await writer.drain()
                 if not keep_alive:
+                    linger = status in _EARLY_ERRORS
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError,
                 BrokenPipeError):
@@ -1737,6 +1798,9 @@ class ServiceServer:
             # CancelledError is a BaseException: a shutdown cancel
             # landing while this drain awaits must not resurrect the
             # cancellation the handler above already absorbed.
+            with contextlib.suppress(Exception, asyncio.CancelledError):
+                if linger:
+                    await _lingering_close(reader, writer)
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()

@@ -156,6 +156,53 @@ def test_memoization_shared_across_workers(gemm_reference):
     assert four.stats.checker_runs + four.stats.memo_hits == len(configs)
 
 
+# -- the per-sweep access-profile memo ---------------------------------------
+
+def _accesses(configs):
+    return sum(len(md_knn_kernel(config).accesses) for config in configs)
+
+
+def test_bank_memo_accounting_inline_and_pooled():
+    configs = list(md_knn_space().sample(160))
+    accesses = _accesses(configs)
+    for workers, chunk_size in [(1, None), (2, 16)]:
+        stats = sweep(configs, md_knn_source, md_knn_kernel,
+                      workers=workers, chunk_size=chunk_size).stats
+        assert stats.bank_analyses + stats.bank_memo_hits == accesses
+        assert 0 < stats.bank_analyses < accesses
+        assert stats.as_dict()["bank_memo_hits"] == stats.bank_memo_hits
+
+
+def test_bank_memo_lives_for_one_sweep():
+    """Each call starts from an empty memo: a repeated sweep re-runs
+    the same analyses instead of measuring the previous call's cache."""
+    configs = list(md_knn_space().sample(60))
+    first = sweep(configs, md_knn_source, md_knn_kernel, workers=1).stats
+    second = sweep(configs, md_knn_source, md_knn_kernel, workers=1).stats
+    assert first.bank_analyses == second.bank_analyses > 0
+    assert first.bank_memo_hits == second.bank_memo_hits
+
+
+def test_bank_memo_counts_ride_on_chunk_spans():
+    from repro.util import telemetry
+
+    configs = list(md_knn_space().sample(40))
+    with telemetry.root_span("bank-memo", trace_id="bank-memo-spans",
+                             sample_rate=1.0):
+        stats = sweep(configs, md_knn_source, md_knn_kernel, workers=1,
+                      chunk_size=10).stats
+    spans = telemetry.find_trace("bank-memo-spans")["spans"]
+    chunks = [span["attrs"] for span in spans if span["name"] == "dse.chunk"]
+    assert len(chunks) == 4
+    assert sum(attrs["bank_analyses"] for attrs in chunks) \
+        == stats.bank_analyses
+    assert sum(attrs["bank_memo_hits"] for attrs in chunks) \
+        == stats.bank_memo_hits
+    sweep_attrs = next(span["attrs"] for span in spans
+                       if span["name"] == "dse.sweep")
+    assert sweep_attrs["bank_analyses"] == stats.bank_analyses
+
+
 def test_memoization_collapses_checker_runs():
     # A dense slice (not strided) maximizes key sharing.
     configs = list(gemm_blocked_space())[:600]

@@ -124,6 +124,64 @@ def test_dead_worker_turns_healthz_503(tmp_path):
     assert status == 503
 
 
+def test_board_drops_a_snapshot_older_than_the_one_written(tmp_path):
+    """A publisher that lost the race to a later ticket must not
+    overwrite the newer counters; untagged publishes always write."""
+    import json as json_module
+
+    from repro.service import WorkerBoard
+
+    board = WorkerBoard(tmp_path, worker=0)
+
+    def written():
+        return json_module.loads(board.path_for(0).read_text())["n"]
+
+    board.publish({"n": 2}, ticket=2)
+    board.publish({"n": 1}, ticket=1)
+    assert written() == 2
+    board.publish({"n": 3}, ticket=3)
+    assert written() == 3
+    board.publish({"n": 4})
+    assert written() == 4
+
+
+def test_slow_publisher_cannot_leave_a_stale_snapshot(tmp_path):
+    """A thread that took its snapshot first but writes last must not
+    overwrite the newer counters another thread already wrote."""
+    import json as json_module
+    import threading
+
+    from repro.service import DahliaService, WorkerBoard
+
+    snapshot_taken = threading.Event()
+    newer_written = threading.Event()
+
+    class SlowFirstBoard(WorkerBoard):
+        def publish(self, payload, *rest):
+            if not snapshot_taken.is_set():
+                snapshot_taken.set()
+                newer_written.wait(timeout=10)
+            super().publish(payload, *rest)
+
+    board = SlowFirstBoard(tmp_path, worker=0)
+    service = DahliaService(board=board)
+
+    def slow_client():
+        service.handle("GET", "/healthz", b"")
+        service.publish_stats()
+
+    slow = threading.Thread(target=slow_client)
+    slow.start()
+    assert snapshot_taken.wait(timeout=10)
+    service.handle("GET", "/healthz", b"")
+    service.publish_stats()
+    newer_written.set()
+    slow.join(timeout=10)
+    assert not slow.is_alive()
+    record = json_module.loads(board.path_for(0).read_text())
+    assert record["metrics"]["endpoints"]["/healthz"]["requests"] == 2
+
+
 def test_banner_reports_workers_and_tier(tmp_path):
     process, client = spawn_server(str(tmp_path), workers=2)
     try:

@@ -25,9 +25,11 @@ Subcommands mirror the stages of Figure 1:
   summaries, dump one trace, or export Chrome trace-event JSON).
 
 File-taking subcommands accept ``--json`` for machine-readable JSON
-diagnostics on stderr, and ``check``/``compile``/``run``/``estimate``/
-``dse`` accept ``--server HOST:PORT`` to dispatch to a running service
-instead of compiling locally (output is identical either way).
+diagnostics on stderr. ``check``/``compile``/``run``/``estimate`` and
+``session`` build one service request and send it to an in-process
+:class:`~repro.service.server.DahliaService`, or with ``--server
+HOST:PORT`` to a running service; one renderer prints the answer, so
+the output is identical either way. ``dse`` also accepts ``--server``.
 """
 
 from __future__ import annotations
@@ -37,14 +39,10 @@ import contextlib
 import functools
 import json
 import sys
-from typing import Callable
+from typing import Any, Callable, Iterator
 
-from .backend.hls_cpp import EmitterOptions, compile_program
 from .errors import DahliaError
 from .frontend.parser import parse
-from .hls.estimator import estimate
-from .hls.extract import extract_kernel
-from .interp.interpreter import interpret_program
 from .source import SourceFile
 from .suite.generators import DSE_FAMILIES
 from .types.checker import check_program
@@ -56,67 +54,95 @@ def _load(path: str) -> tuple[str, SourceFile]:
     return text, SourceFile(text, path)
 
 
-def _diagnose(error: DahliaError, source: SourceFile,
-              as_json: bool = False) -> None:
-    from .util.diagnostics import diagnostic_payload
-
-    if as_json:
-        print(json.dumps(diagnostic_payload(error, source), indent=2),
-              file=sys.stderr)
-        return
-    print(f"error: {error}", file=sys.stderr)
-    snippet = source.render_span(error.span)
-    if snippet:
-        print(snippet, file=sys.stderr)
-
-
-def _remote_diagnose(payload: dict, as_json: bool) -> int:
-    """Render a service ``{"ok": false}`` payload like a local error."""
+def _print_diagnostic(diagnostic: dict, as_json: bool) -> None:
+    """Print a diagnostic payload: JSON, or message plus caret snippet."""
     from .util.diagnostics import render_diagnostic
 
-    diagnostic = payload.get("diagnostic") or {}
     if as_json:
         print(json.dumps(diagnostic, indent=2), file=sys.stderr)
     else:
         print(render_diagnostic(diagnostic), file=sys.stderr)
-    return 1
 
 
-def source_command(remote: Callable[[argparse.Namespace, "object", str],
-                                    int] | None = None):
-    """Wrap a ``worker(args, text, source)`` with the shared boilerplate.
+def source_command(worker: Callable[[argparse.Namespace, str, SourceFile],
+                                    int]):
+    """Wrap a local-only ``worker(args, text, source)``: load the file
+    and render :class:`DahliaError` diagnostics (text or ``--json``)."""
+    @functools.wraps(worker)
+    def runner(args: argparse.Namespace) -> int:
+        from .util.diagnostics import diagnostic_payload
 
-    Loads the file, renders :class:`DahliaError` diagnostics (text or
-    ``--json``), and — when the subcommand supports it and ``--server``
-    is given — dispatches to a running service via ``remote(args,
-    client, text)`` instead of running the local worker.
+        text, source = _load(args.file)
+        try:
+            return worker(args, text, source)
+        except DahliaError as error:
+            _print_diagnostic(diagnostic_payload(error, source),
+                              bool(getattr(args, "json", False)))
+            return 1
+    return runner
+
+
+@contextlib.contextmanager
+def _service_call(args: argparse.Namespace) -> Iterator[Callable[..., dict]]:
+    """``call(method, path, request=None)`` → the answer's payload.
+
+    With ``--server`` the request goes to a running service (its
+    connection is closed on exit); otherwise an in-process
+    :class:`~repro.service.server.DahliaService` answers it. Either way
+    a non-200 answer raises :class:`~repro.service.client.ServiceError`.
     """
-    def wrap(worker: Callable[[argparse.Namespace, str, SourceFile], int]):
-        @functools.wraps(worker)
-        def runner(args: argparse.Namespace) -> int:
-            text, source = _load(args.file)
-            as_json = bool(getattr(args, "json", False))
-            if remote is not None and getattr(args, "server", None):
-                return _run_remote(args, text, remote)
-            try:
-                return worker(args, text, source)
-            except DahliaError as error:
-                _diagnose(error, source, as_json)
-                return 1
-        return runner
-    return wrap
-
-
-def _run_remote(args: argparse.Namespace, text: str,
-                remote: Callable) -> int:
     from .service.client import ServiceClient, ServiceError
 
-    try:
+    if getattr(args, "server", None):
         client = ServiceClient.from_address(args.server)
-        return remote(args, client, text)
-    except (ServiceError, ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        try:
+            yield client.request
+        finally:
+            client.close()
+        return
+    from .service.server import DahliaService
+
+    service = DahliaService()
+
+    def call(method: str, path: str, request: Any = None) -> dict:
+        body = b"" if request is None else json.dumps(request).encode()
+        status, payload = service.handle(method, path, body)
+        if status != 200:
+            raise ServiceError(status, payload)
+        return payload
+
+    yield call
+
+
+def servable(endpoint: str,
+             options: Callable[[argparse.Namespace], dict] = lambda _: {}):
+    """A subcommand that sends ``{"source", **options(args)}`` to
+    ``POST /{endpoint}`` and renders the answer.
+
+    Rejections print the payload's diagnostic and exit 1; transport or
+    service errors print ``error: …``; ``render(args, payload)`` prints
+    an accepted payload.
+    """
+    def wrap(render: Callable[[argparse.Namespace, dict], None]):
+        @functools.wraps(render)
+        def runner(args: argparse.Namespace) -> int:
+            from .service.client import ServiceError
+
+            text, _ = _load(args.file)
+            try:
+                with _service_call(args) as call:
+                    payload = call("POST", f"/{endpoint}",
+                                   {"source": text, **options(args)})
+            except (ServiceError, ValueError, OSError) as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 1
+            if not payload["ok"]:
+                _print_diagnostic(payload.get("diagnostic") or {}, args.json)
+                return 1
+            render(args, payload)
+            return 0
+        return runner
+    return wrap
 
 
 def _print_memories(memories: dict[str, list]) -> None:
@@ -125,106 +151,35 @@ def _print_memories(memories: dict[str, list]) -> None:
         print(f"{name} = {preview}")
 
 
-# ---------------------------------------------------------------------------
-# check
-# ---------------------------------------------------------------------------
-
 def _check_ok_line(file: str, memories: int, max_replication: int) -> str:
     return (f"{file}: OK ({memories} memories, "
             f"max replication {max_replication})")
 
 
-def _remote_check(args: argparse.Namespace, client, text: str) -> int:
-    payload = client.check(text)
-    if not payload["ok"]:
-        return _remote_diagnose(payload, args.json)
+# ---------------------------------------------------------------------------
+# service-backed subcommands
+# ---------------------------------------------------------------------------
+
+@servable("check")
+def cmd_check(args: argparse.Namespace, payload: dict) -> None:
     print(_check_ok_line(args.file, payload["memories"],
                          payload["max_replication"]))
-    return 0
 
 
-@source_command(remote=_remote_check)
-def cmd_check(args: argparse.Namespace, text: str,
-              source: SourceFile) -> int:
-    report = check_program(parse(text, args.file))
-    print(_check_ok_line(args.file, len(report.memories),
-                         report.max_replication))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# compile
-# ---------------------------------------------------------------------------
-
-def _remote_compile(args: argparse.Namespace, client, text: str) -> int:
-    payload = client.compile(text, erase=args.erase,
-                             kernel_name=args.kernel_name)
-    if not payload["ok"]:
-        return _remote_diagnose(payload, args.json)
+@servable("compile", lambda args: {"erase": args.erase,
+                                   "kernel_name": args.kernel_name})
+def cmd_compile(args: argparse.Namespace, payload: dict) -> None:
     print(payload["cpp"], end="")
-    return 0
 
 
-@source_command(remote=_remote_compile)
-def cmd_compile(args: argparse.Namespace, text: str,
-                source: SourceFile) -> int:
-    program = parse(text, args.file)
-    check_program(program)
-    options = EmitterOptions(erase=args.erase,
-                             kernel_name=args.kernel_name)
-    print(compile_program(program, options), end="")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# run
-# ---------------------------------------------------------------------------
-
-def _remote_run(args: argparse.Namespace, client, text: str) -> int:
-    payload = client.interp(text, check=not args.no_check)
-    if not payload["ok"]:
-        return _remote_diagnose(payload, args.json)
+@servable("interp", lambda args: {"check": not args.no_check})
+def cmd_run(args: argparse.Namespace, payload: dict) -> None:
     _print_memories(payload["memories"])
-    return 0
 
 
-@source_command(remote=_remote_run)
-def cmd_run(args: argparse.Namespace, text: str,
-            source: SourceFile) -> int:
-    from .service.pipeline import interp_memory_fields
-
-    result = interpret_program(parse(text, args.file),
-                               check=not args.no_check)
-    _print_memories(interp_memory_fields(result))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# estimate
-# ---------------------------------------------------------------------------
-
-def _remote_estimate(args: argparse.Namespace, client, text: str) -> int:
-    payload = client.estimate(text)
-    if not payload["ok"]:
-        return _remote_diagnose(payload, args.json)
+@servable("estimate")
+def cmd_estimate(args: argparse.Namespace, payload: dict) -> None:
     print(json.dumps(payload["report"], indent=2))
-    return 0
-
-
-@source_command(remote=_remote_estimate)
-def cmd_estimate(args: argparse.Namespace, text: str,
-                 source: SourceFile) -> int:
-    from .service.pipeline import estimate_report_fields
-
-    program = parse(text, args.file)
-    check_program(program)
-    # Deliberately not named after the file: the kernel name seeds the
-    # estimator's deterministic noise, and estimates must be a pure
-    # function of source *content* so they agree with the service's
-    # content-addressed cache.
-    kernel = extract_kernel(program)
-    print(json.dumps(estimate_report_fields(estimate(kernel)), indent=2))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +195,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-@source_command()
+@source_command
 def cmd_fmt(args: argparse.Namespace, text: str,
             source: SourceFile) -> int:
     from .frontend.pretty import pretty_program
@@ -249,7 +204,7 @@ def cmd_fmt(args: argparse.Namespace, text: str,
     return 0
 
 
-@source_command()
+@source_command
 def cmd_analyze(args: argparse.Namespace, text: str,
                 source: SourceFile) -> int:
     from .analysis import classify_locals, count_logical_steps
@@ -265,7 +220,7 @@ def cmd_analyze(args: argparse.Namespace, text: str,
     return 0
 
 
-@source_command()
+@source_command
 def cmd_desugar(args: argparse.Namespace, text: str,
                 source: SourceFile) -> int:
     from .filament.desugar import desugar
@@ -277,7 +232,7 @@ def cmd_desugar(args: argparse.Namespace, text: str,
     return 0
 
 
-@source_command()
+@source_command
 def cmd_rtl(args: argparse.Namespace, text: str,
             source: SourceFile) -> int:
     from .rtl import analyze, emit_verilog, lower_program, simulate
@@ -305,7 +260,7 @@ def cmd_rtl(args: argparse.Namespace, text: str,
     return 0
 
 
-@source_command()
+@source_command
 def cmd_pipeline(args: argparse.Namespace, text: str,
                  source: SourceFile) -> int:
     from .analysis import analyze_pipelines
@@ -326,7 +281,7 @@ def cmd_pipeline(args: argparse.Namespace, text: str,
     return 0
 
 
-@source_command()
+@source_command
 def cmd_fuse(args: argparse.Namespace, text: str,
              source: SourceFile) -> int:
     from .analysis.stepfusion import fuse_source
@@ -628,48 +583,6 @@ def _print_session_payload(payload: dict, as_json: bool,
               f"(broken: {broken})")
 
 
-def _session_backends(args: argparse.Namespace):
-    """``(open, edit, close)`` closures, each → ``(status, payload)``."""
-    if getattr(args, "server", None):
-        from .service.client import ServiceClient, ServiceError
-
-        client = ServiceClient.from_address(args.server)
-
-        def guard(call):
-            try:
-                return 200, call()
-            except ServiceError as error:
-                return error.status, error.payload
-
-        return (
-            lambda source: guard(
-                lambda: client.session_open(source, session=args.id)),
-            lambda session, version, edits: guard(
-                lambda: client.session_edit(session, version, edits=edits)),
-            lambda session: guard(lambda: client.session_close(session)),
-        )
-
-    from .service.pipeline import CompilerPipeline
-    from .service.session import SessionManager
-    from .util import telemetry
-
-    manager = SessionManager(CompilerPipeline(capacity=256))
-
-    def do_open(source: str):
-        request = {"source": source}
-        if args.id:
-            request["session"] = args.id
-        return manager.open(request, telemetry.new_id())
-
-    return (
-        do_open,
-        lambda session, version, edits: manager.edit(
-            session, {"version": version, "edits": edits},
-            telemetry.new_id()),
-        manager.close,
-    )
-
-
 def _parse_repl_edit(command: str, rest: str,
                      current: str) -> list[dict] | None:
     """One REPL line → an edit list, or ``None`` with usage on stderr."""
@@ -707,15 +620,31 @@ def _parse_repl_edit(command: str, rest: str,
 
 
 def cmd_session(args: argparse.Namespace) -> int:
-    """REPL over a stateful edit session (local or ``--server``)."""
+    """REPL over a stateful edit session (in-process or ``--server``)."""
     text, _ = _load(args.file)
-    do_open, do_edit, do_close = _session_backends(args)
-
     try:
-        status, payload = do_open(text)
+        with _service_call(args) as call:
+            return _session_repl(args, text, call)
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+
+
+def _session_repl(args: argparse.Namespace, text: str,
+                  call: Callable[..., dict]) -> int:
+    from .service.client import ServiceError
+
+    def send(method: str, path: str,
+             request: dict | None = None) -> tuple[int, Any]:
+        try:
+            return 200, call(method, path, request)
+        except ServiceError as error:
+            return error.status, error.payload
+
+    request = {"source": text}
+    if args.id is not None:
+        request["session"] = args.id
+    status, payload = send("POST", "/session", request)
     if status != 200:
         print(f"error: {payload.get('error')}", file=sys.stderr)
         return 1
@@ -753,7 +682,9 @@ def cmd_session(args: argparse.Namespace) -> int:
         if edits is None:
             continue
         try:
-            status, payload = do_edit(session, version + 1, edits)
+            status, payload = send("POST", f"/session/{session}",
+                                   {"version": version + 1,
+                                    "edits": edits})
         except OSError as error:
             print(f"error: {error}", file=sys.stderr)
             continue
@@ -768,7 +699,7 @@ def cmd_session(args: argparse.Namespace) -> int:
                        + current[edit["end"]:])
         _print_session_payload(payload, args.json, args.file)
     with contextlib.suppress(OSError):
-        do_close(session)
+        send("DELETE", f"/session/{session}")
     return 0
 
 

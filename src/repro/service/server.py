@@ -27,6 +27,10 @@ headers, ``Content-Length`` bodies, keep-alive) on
 ``asyncio.start_server`` — no third-party dependency. Requests execute
 on a thread pool behind an ``asyncio.Semaphore``, so concurrency is
 bounded and a slow ``/dse`` sweep cannot starve the accept loop.
+Every route is declared once, in :data:`ROUTES` (method, path
+pattern, handler, admission class, budget factor); each request is
+matched against it once, and both the transport's admission and the
+service's dispatch read that match.
 
 **Multi-process serving** (``dahlia-py serve --workers N``): the entry
 point preforks ``N`` identical worker processes sharing one listening
@@ -56,6 +60,7 @@ import itertools
 import json
 import logging
 import os
+import re
 import socket
 import tempfile
 import threading
@@ -69,8 +74,8 @@ from typing import Any, Mapping
 from ..util import telemetry
 from ..util.deadline import Deadline, DeadlineExceeded, deadline_scope
 from ..util.faults import fault_point, fault_stats
-from ..util.fsio import atomic_write, reap_temp_debris
 from ..util.singleflight import SingleFlight
+from ..util.spool import Spool, pid_alive
 from .artifacts import DEFAULT_DISK_BYTES, ArtifactKey
 from .jobs import JobManager, job_id_for
 from .session import (
@@ -96,27 +101,139 @@ ENDPOINT_OPTIONS: dict[str, tuple[str, ...]] = {
     for name in ("check", "estimate", "compile", "rtl", "interp")
 }
 
-#: Routes that get their own row in the metrics table; anything else
-#: is bucketed under one key so unknown-path probes can't grow the
-#: table (and the /metrics response) without bound.
-KNOWN_PATHS = frozenset(
-    {"/healthz", "/metrics", "/stages", "/trace", "/dse", "/session",
-     "/cas", "/jobs"}
-    | {f"/{name}" for name in ENDPOINT_OPTIONS})
+#: ``/dse`` runs engine sweeps that are long by design; its budget is
+#: the per-route timeout scaled by this factor.
+DSE_BUDGET_FACTOR = 20.0
+
+#: Admission classes. A *probe* answers outside the in-flight limit
+#: (health polls and metrics must answer while every slot is busy), a
+#: *work* request takes a slot and may be shed, and a *stream* is an
+#: NDJSON job tail that polls outside the limit.
+PROBE, WORK, STREAM = "probe", "work", "stream"
 
 
-def metric_path(path: str) -> str:
-    """The metrics-table key for ``path``.
+@dataclass(frozen=True)
+class Route:
+    """One served route: ``method`` + bare-path ``pattern`` → handler.
 
-    ``/session/{id}``, ``/cas/{digest}``, and ``/jobs/{id}`` routes
-    carry per-request ids, so each family shares its base row; any
-    other unknown path shares one bucket so probes can't grow the
-    table without bound.
+    ``{name}`` in the pattern matches one non-empty path segment and
+    reaches the handler as ``request.args[name]``. ``handler`` names
+    the :class:`DahliaService` method that answers the
+    :class:`Request` with ``(status, payload)``; ``budget`` scales
+    ``--request-timeout`` for the route.
     """
-    for prefix in ("/session/", "/cas/", "/jobs/"):
-        if path.startswith(prefix):
-            return prefix[:-1]
-    return path if path in KNOWN_PATHS else "(unknown)"
+
+    method: str
+    pattern: str
+    handler: str
+    admission: str = WORK
+    budget: float = 1.0
+
+    @property
+    def metric(self) -> str:
+        """The route's ``/metrics`` row: its first path segment, so
+        per-id routes share their family's row."""
+        return "/" + self.pattern.split("/")[1]
+
+
+#: Every served route. The transport admits a request by its route's
+#: class and ``DahliaService.handle`` dispatches it by the handler; a
+#: path no route matches is a 404, a path only other methods' routes
+#: match is a 405.
+ROUTES: tuple[Route, ...] = (
+    Route("GET", "/healthz", "_route_health", PROBE),
+    Route("GET", "/metrics", "_route_metrics", PROBE),
+    Route("GET", "/stages", "_route_stages", PROBE),
+    Route("GET", "/trace", "_route_trace", PROBE),
+    *(Route("POST", f"/{name}", "_route_respond")
+      for name in ENDPOINT_OPTIONS),
+    Route("POST", "/dse", "_route_respond", budget=DSE_BUDGET_FACTOR),
+    Route("POST", "/session", "_route_session"),
+    Route("POST", "/session/{id}", "_route_session"),
+    Route("DELETE", "/session/{id}", "_route_close_session"),
+    Route("GET", "/cas", "_route_cas_stats", PROBE),
+    Route("GET", "/cas/{digest}", "_route_cas_get", PROBE),
+    Route("PUT", "/cas/{digest}", "_route_cas_put"),
+    Route("GET", "/jobs", "_route_jobs", PROBE),
+    Route("GET", "/jobs/{id}", "_route_job", PROBE),
+    Route("GET", "/jobs/{id}/stream", "_route_job", STREAM),
+)
+
+#: Routes that get their own row in the metrics table; anything else
+#: is bucketed under :data:`UNKNOWN_PATH` so unknown-path probes can't
+#: grow the table (and the /metrics response) without bound.
+KNOWN_PATHS = frozenset(route.metric for route in ROUTES)
+UNKNOWN_PATH = "(unknown)"
+
+_MATCHERS = tuple(
+    (re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", route.pattern)),
+     route)
+    for route in ROUTES)
+
+
+def match_route(method: str, path: str,
+                ) -> tuple[Route | None, dict[str, str], str]:
+    """``(route, path args, metrics key)`` for a bare (query-free) path.
+
+    ``route`` is ``None`` when no route serves ``method`` at ``path``;
+    the metrics key then tells a known path (405, its family's row)
+    from an unknown one (404, :data:`UNKNOWN_PATH`).
+    """
+    metric = UNKNOWN_PATH
+    for regex, route in _MATCHERS:
+        match = regex.fullmatch(path)
+        if match is None:
+            continue
+        if route.method == method:
+            return route, match.groupdict(), route.metric
+        metric = route.metric
+    return None, {}, metric
+
+
+@dataclass
+class Request:
+    """One request, its route matched once on the query-stripped path.
+
+    The transport parses each request once and reads the admission
+    class and budget off the match; :meth:`DahliaService.dispatch`
+    dispatches the same object.
+    """
+
+    method: str
+    path: str                                 # the target, query stripped
+    query: dict[str, list[str]]
+    body: bytes
+    request_id: str
+    route: Route | None
+    args: dict[str, str]
+    metric: str
+
+    @classmethod
+    def parse(cls, method: str, target: str, body: bytes,
+              request_id: str | None = None) -> "Request":
+        path, _, query = target.partition("?")
+        route, args, metric = match_route(method, path)
+        return cls(method, path, urllib.parse.parse_qs(query), body,
+                   request_id or telemetry.new_id(), route, args, metric)
+
+    @property
+    def admission(self) -> str:
+        """The route's admission class; an unrouted request (404/405)
+        is admitted as a probe only when it is a GET."""
+        if self.route is not None:
+            return self.route.admission
+        return PROBE if self.method == "GET" else WORK
+
+
+def _json_object(body: bytes) -> dict:
+    """Decode a request body that must be a JSON object (else 400)."""
+    try:
+        request = json.loads(body.decode() or "{}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise BadRequest(f"body is not valid JSON: {error}") from None
+    if not isinstance(request, dict):
+        raise BadRequest("request body must be a JSON object")
+    return request
 
 
 def encode_payload(payload: Any) -> bytes:
@@ -198,10 +315,6 @@ _MAX_FAST_DEATHS = 5
 #: backstop covers handlers stuck in non-cooperative code.
 DEADLINE_GRACE_S = 0.25
 
-#: ``/dse`` runs engine sweeps that are long by design; its budget is
-#: the per-route timeout scaled by this factor.
-DSE_BUDGET_FACTOR = 20.0
-
 #: Advisory client delay for shed (429) responses.
 RETRY_AFTER_S = 1.0
 
@@ -209,27 +322,26 @@ RETRY_AFTER_S = 1.0
 class WorkerBoard:
     """Cross-process statistics board for the prefork worker fleet.
 
-    Each worker owns one JSON file (``worker-<i>.json``) under the
-    board directory and republishes its snapshot after every request
-    and on an idle heartbeat. Files are written with the same
-    write-then-rename discipline as the disk artifact tier, so readers
-    never see torn JSON. Any worker can then answer ``/metrics`` for
-    the whole fleet by reading every file — there is no IPC beyond the
+    Each worker owns one record (keyed ``worker-<i>``) in a
+    :class:`~repro.util.spool.Spool` over the board directory and
+    republishes its snapshot after every request and on an idle
+    heartbeat. Any worker can then answer ``/metrics`` for the whole
+    fleet by reading every record — there is no IPC beyond the
     filesystem, which is exactly the dependency the shared artifact
-    tier already implies.
+    tier already implies. The board adds publish ordering and
+    liveness on top of the spool.
     """
 
     def __init__(self, root: str | Path, worker: int | None = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        # Never pruned: the board holds one record per worker.
+        self.spool = Spool(root, max_files=None)
         self.worker = worker
         self._lock = threading.Lock()
         self._tickets = itertools.count()
         self._written = -1                   # newest ticket on disk
-        reap_temp_debris(self.root)          # crash orphans from publish()
 
     def path_for(self, worker: int) -> Path:
-        return self.root / f"worker-{worker}.json"
+        return self.spool.path_for(f"worker-{worker}")
 
     def ticket(self) -> int:
         """Order a publish: draw this before reading the counters."""
@@ -250,36 +362,17 @@ class WorkerBoard:
                 if ticket < self._written:
                     return
                 self._written = ticket
-            record = {
+            self.spool.write(f"worker-{self.worker}", {
                 "worker": self.worker,
                 "pid": os.getpid(),
                 "updated": time.time(),
                 **payload,
-            }
-            atomic_write(self.path_for(self.worker),
-                         json.dumps(record).encode(), tmp_dir=self.root)
+            })
 
     def read_all(self) -> list[dict]:
-        """Every worker's latest snapshot (unreadable files skipped)."""
-        records = []
-        for path in sorted(self.root.glob("worker-*.json")):
-            try:
-                records.append(json.loads(path.read_text()))
-            except (OSError, json.JSONDecodeError):
-                continue                      # mid-replace or vanished
-        return records
-
-    @staticmethod
-    def pid_alive(pid: int) -> bool:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except (PermissionError, OSError):
-            return True                       # exists but not ours
-        except AttributeError:                # pragma: no cover — no os.kill
-            return True
-        return True
+        """Every worker's latest snapshot, by worker index."""
+        return sorted(self.spool.read_all(),
+                      key=lambda record: record.get("worker", -1))
 
     def liveness(self) -> list[dict]:
         """Per-worker liveness for ``/healthz``."""
@@ -291,85 +384,11 @@ class WorkerBoard:
             report.append({
                 "worker": record.get("worker"),
                 "pid": pid,
-                "alive": (self.pid_alive(pid)
+                "alive": (pid_alive(pid)
                           and age < _STALE_HEARTBEATS * HEARTBEAT_S),
                 "heartbeat_age_s": round(age, 3),
             })
         return report
-
-
-class TraceSpool:
-    """Filesystem spool of finished traces shared by a worker fleet.
-
-    The worker that serves a request owns its trace; spooling the
-    finished trace (write-then-rename, one JSON file per trace) next
-    to the :class:`WorkerBoard` lets *any* worker answer ``GET
-    /trace?id=…`` for it — same filesystem-only coordination as the
-    board and the disk artifact tier. Files are named by a hash of the
-    trace id (ids echo client-supplied ``X-Request-Id`` values, which
-    must not become path components), and the spool is pruned to the
-    newest :data:`MAX_FILES` periodically.
-    """
-
-    MAX_FILES = 256
-    _PRUNE_EVERY = 32
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._writes = 0
-
-    def path_for(self, trace_id: str) -> Path:
-        digest = hashlib.sha256(trace_id.encode()).hexdigest()[:32]
-        return self.root / f"{digest}.json"
-
-    def write(self, trace: Mapping[str, Any]) -> None:
-        trace_id = str(trace.get("trace_id", ""))
-        if not trace_id:
-            return
-        atomic_write(self.path_for(trace_id),
-                     json.dumps(trace).encode(), tmp_dir=self.root)
-        with self._lock:
-            self._writes += 1
-            prune = self._writes % self._PRUNE_EVERY == 0
-        if prune:
-            self._prune()
-
-    def read(self, trace_id: str) -> dict | None:
-        try:
-            return json.loads(self.path_for(trace_id).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None                       # absent, mid-replace, torn
-
-    def list(self, limit: int = 20) -> list[dict]:
-        """The newest spooled traces (by file mtime), newest first."""
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        entries.sort(reverse=True)
-        traces = []
-        for _, path in entries[:max(0, limit)]:
-            try:
-                traces.append(json.loads(path.read_text()))
-            except (OSError, json.JSONDecodeError):
-                continue
-        return traces
-
-    def _prune(self) -> None:
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        entries.sort(reverse=True)
-        for _, path in entries[self.MAX_FILES:]:
-            with contextlib.suppress(OSError):
-                path.unlink()
 
 
 def _aggregate_metrics(records: list[dict]) -> dict:
@@ -517,8 +536,8 @@ class DahliaService:
 
     ``respond(endpoint, request)`` is the direct library call; the HTTP
     layer serializes exactly what it returns. Instantiating one service
-    per process gives all transports (HTTP, CLI ``--server`` relays,
-    tests) a shared artifact cache.
+    per process gives all transports (HTTP, the CLI, tests) a shared
+    artifact cache.
     """
 
     def __init__(self, pipeline: CompilerPipeline | None = None,
@@ -559,7 +578,7 @@ class DahliaService:
         self.slow_request_ms = slow_request_ms
         #: Fleet trace spool: lets any worker serve /trace lookups for
         #: traces another worker finished.
-        self.spool = TraceSpool(trace_dir) if trace_dir else None
+        self.spool = Spool(trace_dir) if trace_dir else None
         #: Async /dse jobs; ``job_dir`` (the fleet spool) lets any
         #: prefork worker resolve a job a peer owns.
         self.jobs = JobManager(self._run_job, spool_dir=job_dir)
@@ -586,8 +605,9 @@ class DahliaService:
         visible to every worker before its response reaches the
         client.
         """
-        if self.spool is not None:
-            self.spool.write(trace)
+        trace_id = str(trace.get("trace_id", ""))
+        if self.spool is not None and trace_id:
+            self.spool.write(trace_id, trace)
 
     def find_trace(self, trace_id: str) -> dict | None:
         trace = telemetry.find_trace(trace_id)
@@ -598,7 +618,8 @@ class DahliaService:
     def recent_traces(self, limit: int) -> list[dict]:
         """Newest finished traces: local ring ∪ fleet spool, deduped."""
         traces = {t.get("trace_id"): t
-                  for t in (self.spool.list(limit) if self.spool else [])}
+                  for t in (self.spool.read_all(limit) if self.spool
+                            else [])}
         for trace in telemetry.recent_traces(limit):
             traces.setdefault(trace.get("trace_id"), trace)
         ordered = sorted(traces.values(),
@@ -606,19 +627,39 @@ class DahliaService:
                          reverse=True)
         return ordered[:max(0, limit)]
 
-    # -- resilience accounting ----------------------------------------------
+    # -- accounting ---------------------------------------------------------
 
-    def record_deadline(self, path: str) -> None:
+    def _record(self, metric: str, elapsed_ms: float, status: int) -> None:
+        with self._metrics_lock:
+            self._metrics.setdefault(metric, EndpointMetrics()) \
+                .record(elapsed_ms, error=status >= 400)
+
+    def record_deadline(self) -> None:
         with self._metrics_lock:
             self._resilience["deadline_exceeded"] += 1
 
-    def record_shed(self, path: str) -> None:
+    def record_shed(self, request: Request) -> None:
         """One request shed by admission control (never dispatched)."""
-        metric_key = metric_path(path)
         with self._metrics_lock:
             self._resilience["shed"] += 1
-            self._metrics.setdefault(metric_key, EndpointMetrics()) \
-                .record(0.0, error=True)
+        self._record(request.metric, 0.0, 429)
+
+    def _failure(self, error: Exception) -> tuple[int, dict]:
+        """The documented answer for an exception at the service
+        boundary: 400 for client mistakes, a structured 503 when the
+        request's budget ran out, 500 for anything unexpected."""
+        if isinstance(error, BadRequest):
+            return 400, {"ok": False, "error": str(error)}
+        if isinstance(error, DeadlineExceeded):
+            # Cooperative cancellation fired inside a pipeline stage:
+            # degrade with a bounded, structured answer instead of
+            # finishing the work late.
+            self.record_deadline()
+            return 503, {"ok": False, "error": str(error),
+                         "deadline_exceeded": True,
+                         "budget_s": error.budget_s}
+        return 500, {"ok": False,
+                     "error": f"{type(error).__name__}: {error}"}
 
     # -- direct library calls (one per POST endpoint) ----------------------
 
@@ -760,6 +801,8 @@ class DahliaService:
                 self._dse["coalesced"] += 1
         return {"ok": True, **summary}
 
+    # -- streamed responses -------------------------------------------------
+
     def job_stream(self, job_id: str, emit: Any,
                    request_id: str | None = None,
                    stop: Any = None) -> int:
@@ -774,15 +817,10 @@ class DahliaService:
         try:
             status = self.jobs.tail(job_id, emit, stop=stop)
         except Exception as error:  # noqa: BLE001 — service boundary
-            status = 500
-            emit({"type": "error", "status": status,
-                  "payload": {"ok": False,
-                              "error": f"{type(error).__name__}: "
-                                       f"{error}"}})
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        with self._metrics_lock:
-            self._metrics.setdefault("/jobs", EndpointMetrics()) \
-                .record(elapsed_ms, error=status >= 400)
+            status, payload = self._failure(error)
+            emit({"type": "error", "status": status, "payload": payload})
+        self._record("/jobs", (time.perf_counter() - started) * 1000.0,
+                     status)
         return status
 
     def dse_stream(self, body: bytes, emit: Any,
@@ -806,16 +844,7 @@ class DahliaService:
             try:
                 fault_point("server.handle")
                 fault_point("server.worker")
-                try:
-                    request = json.loads(body.decode() or "{}")
-                except (UnicodeDecodeError,
-                        json.JSONDecodeError) as error:
-                    raise BadRequest(
-                        f"body is not valid JSON: {error}") from None
-                if not isinstance(request, dict):
-                    raise BadRequest("request body must be a JSON "
-                                     "object")
-                params = self._parse_dse(request)
+                params = self._parse_dse(_json_object(body))
                 if params["mode"] != "frontier":
                     raise BadRequest('"stream": true requires '
                                      '"mode": "frontier"')
@@ -828,29 +857,14 @@ class DahliaService:
                     raise BadRequest(str(error)) from None
                 emit({"type": "result",
                       "payload": {"ok": True, **summary}})
-            except BadRequest as error:
-                status = 400
-                emit({"type": "error", "status": status,
-                      "payload": {"ok": False, "error": str(error)}})
-            except DeadlineExceeded as error:
-                self.record_deadline("/dse")
-                status = 503
-                emit({"type": "error", "status": status,
-                      "payload": {"ok": False, "error": str(error),
-                                  "deadline_exceeded": True,
-                                  "budget_s": error.budget_s}})
             except Exception as error:  # noqa: BLE001 — service boundary
-                status = 500
+                status, payload = self._failure(error)
                 emit({"type": "error", "status": status,
-                      "payload": {"ok": False,
-                                  "error": f"{type(error).__name__}: "
-                                           f"{error}"}})
+                      "payload": payload})
             root.set_attr("status", status)
             root.set_attr("streamed", True)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        with self._metrics_lock:
-            self._metrics.setdefault("/dse", EndpointMetrics()) \
-                .record(elapsed_ms, error=status >= 400)
+        self._record("/dse", (time.perf_counter() - started) * 1000.0,
+                     status)
         return status
 
     # -- GET endpoints ------------------------------------------------------
@@ -943,43 +957,6 @@ class DahliaService:
                        for name, spec in STAGES.items()},
         }
 
-    def _respond_trace(self, params: Mapping[str, list[str]],
-                       ) -> tuple[int, Any]:
-        """``GET /trace``: recent trace listing, or lookup by id.
-
-        ``?id=<trace_id>`` returns the full trace JSON (``404`` when
-        neither the local ring nor the fleet spool has it);
-        ``&format=chrome`` returns the Chrome trace-event export
-        instead (save it and load in Perfetto). Without ``id``,
-        ``?limit=N`` (default 20) bounds the listing.
-        """
-        trace_id = (params.get("id") or [""])[0]
-        render = (params.get("format") or [""])[0]
-        if render not in ("", "json", "chrome"):
-            raise BadRequest(f"unknown trace format {render!r} "
-                             f"(choose json or chrome)")
-        try:
-            limit = int((params.get("limit") or ["20"])[0])
-        except ValueError:
-            raise BadRequest("malformed limit (expected an integer)") \
-                from None
-        if trace_id:
-            trace = self.find_trace(trace_id)
-            if trace is None:
-                return 404, {"ok": False,
-                             "error": f"no trace {trace_id!r} (it may "
-                                      f"have aged out, or the request "
-                                      f"was not sampled)"}
-            if render == "chrome":
-                return 200, telemetry.chrome_trace(trace)
-            return 200, {"ok": True, "trace": trace}
-        traces = self.recent_traces(limit)
-        return 200, {
-            "ok": True,
-            "count": len(traces),
-            "traces": [telemetry.trace_summary(t) for t in traces],
-        }
-
     # -- transport-facing dispatch -----------------------------------------
 
     def handle(self, method: str, path: str, body: bytes,
@@ -998,150 +975,152 @@ class DahliaService:
         is returned. GET probes are never traced — a heartbeat poll
         must not churn the trace ring.
         """
+        return self.dispatch(Request.parse(method, path, body, request_id))
+
+    def dispatch(self, request: Request) -> tuple[int, Any]:
+        """:meth:`handle` for a request the transport already parsed."""
         started = time.perf_counter()
-        path, _, query = path.partition("?")
-        params = urllib.parse.parse_qs(query)
-        request_id = request_id or telemetry.new_id()
-        scope = (telemetry.root_span(f"{method} {path}",
-                                     trace_id=request_id,
+        scope = (telemetry.root_span(f"{request.method} {request.path}",
+                                     trace_id=request.request_id,
                                      sample_rate=self.trace_sample)
-                 if method == "POST"
+                 if request.method == "POST"
                  else contextlib.nullcontext(telemetry.NOOP_SPAN))
         with scope as root:
             try:
                 fault_point("server.handle")  # chaos site: handler latency
-                status, payload = self._dispatch(method, path, params,
-                                                 body, request_id)
-            except BadRequest as error:
-                status, payload = 400, {"ok": False, "error": str(error)}
-            except DeadlineExceeded as error:
-                # Cooperative cancellation fired inside a pipeline
-                # stage: the request's budget ran out, so degrade with
-                # a bounded, structured answer instead of finishing
-                # the work late.
-                self.record_deadline(path)
-                status, payload = 503, {
-                    "ok": False, "error": str(error),
-                    "deadline_exceeded": True, "budget_s": error.budget_s}
+                if request.route is not None:
+                    status, payload = getattr(
+                        self, request.route.handler)(request)
+                elif request.metric == UNKNOWN_PATH:
+                    status, payload = 404, {
+                        "ok": False,
+                        "error": f"no such endpoint {request.path!r}"}
+                else:
+                    status, payload = 405, {
+                        "ok": False,
+                        "error": f"method {request.method} not allowed"}
             except Exception as error:      # noqa: BLE001 — service boundary
-                status, payload = 500, {
-                    "ok": False,
-                    "error": f"{type(error).__name__}: {error}"}
+                status, payload = self._failure(error)
             root.set_attr("status", status)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        metric_key = metric_path(path)
-        slow = (self.slow_request_ms is not None
-                and elapsed_ms >= self.slow_request_ms)
-        with self._metrics_lock:
-            metric = self._metrics.setdefault(metric_key,
-                                              EndpointMetrics())
-            metric.record(elapsed_ms, error=status >= 400)
-            if slow:
+        self._record(request.metric, elapsed_ms, status)
+        if self.slow_request_ms is not None \
+                and elapsed_ms >= self.slow_request_ms:
+            with self._metrics_lock:
                 self._resilience["slow"] += 1
-        if slow:
             logger.warning(
                 "slow request: %s %s took %.1f ms (threshold %g ms) "
-                "[request %s]", method, path, elapsed_ms,
-                self.slow_request_ms, request_id)
+                "[request %s]", request.method, request.path, elapsed_ms,
+                self.slow_request_ms, request.request_id)
         return status, payload
 
-    def _dispatch(self, method: str, path: str,
-                  params: Mapping[str, list[str]],
-                  body: bytes,
-                  request_id: str | None = None) -> tuple[int, Any]:
-        if path == "/session" or path.startswith("/session/"):
-            return self._dispatch_session(method, path, body, request_id)
-        if path == "/cas" or path.startswith("/cas/"):
-            return self._dispatch_cas(method, path, params, body)
-        if path == "/jobs" or path.startswith("/jobs/"):
-            return self._dispatch_jobs(method, path, params)
-        if method == "GET":
-            if path == "/healthz":
-                payload = self.health()
-                # Status-code probes (curl -f, LB checks) must see a
-                # degraded fleet without parsing the body.
-                return (200 if payload["ok"] else 503), payload
-            if path == "/metrics":
-                return 200, self.metrics()
-            if path == "/stages":
-                return 200, self.stages()
-            if path == "/trace":
-                return self._respond_trace(params)
-            return 404, {"ok": False, "error": f"no such endpoint {path!r}"}
-        if method != "POST":
-            return 405, {"ok": False,
-                         "error": f"method {method} not allowed"}
-        endpoint = path.lstrip("/")
-        if endpoint not in ENDPOINT_OPTIONS and endpoint != "dse":
-            return 404, {"ok": False, "error": f"no such endpoint {path!r}"}
-        try:
-            request = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise BadRequest(f"body is not valid JSON: {error}") from None
-        if not isinstance(request, dict):
-            raise BadRequest("request body must be a JSON object")
-        return 200, self.respond(endpoint, request)
+    # -- route handlers (see ROUTES) ----------------------------------------
 
-    def _dispatch_cas(self, method: str, path: str,
-                      params: Mapping[str, list[str]],
-                      body: bytes) -> tuple[int, Any]:
-        """The content-addressed artifact exchange.
+    def _route_health(self, request: Request) -> tuple[int, Any]:
+        payload = self.health()
+        # Status-code probes (curl -f, LB checks) must see a degraded
+        # fleet without parsing the body.
+        return (200 if payload["ok"] else 503), payload
 
-        ``GET /cas/{digest}?stage=…`` serves the raw pickle blob from
-        the *local* tiers (memory peek or disk file — never a peer
-        probe, so mutually-peered fleets cannot recurse), with its
-        SHA-256 in ``X-CAS-Sha256`` for the fetcher to verify. ``PUT
-        /cas/{digest}?stage=…&sha256=…`` installs a pushed blob after
-        verifying the checksum and that it decodes (``cache prewarm
-        --server``). Bare ``GET /cas`` reports exchange counters.
+    def _route_metrics(self, request: Request) -> tuple[int, Any]:
+        return 200, self.metrics()
+
+    def _route_stages(self, request: Request) -> tuple[int, Any]:
+        return 200, self.stages()
+
+    def _route_respond(self, request: Request) -> tuple[int, Any]:
+        return 200, self.respond(request.path[1:],
+                                 _json_object(request.body))
+
+    def _route_trace(self, request: Request) -> tuple[int, Any]:
+        """``GET /trace``: recent trace listing, or lookup by id.
+
+        ``?id=<trace_id>`` returns the full trace JSON (``404`` when
+        neither the local ring nor the fleet spool has it);
+        ``&format=chrome`` returns the Chrome trace-event export
+        instead (save it and load in Perfetto). Without ``id``,
+        ``?limit=N`` (default 20) bounds the listing.
         """
-        if method not in ("GET", "PUT"):
-            return 405, {"ok": False,
-                         "error": f"method {method} not allowed"}
-        digest = path[len("/cas/"):] if path.startswith("/cas/") else ""
-        if not digest:
-            if method == "GET":
-                remote = self.pipeline.store.remote
-                with self._metrics_lock:
-                    counters = dict(self._cas)
-                return 200, {
-                    "ok": True,
-                    "cas": counters,
-                    "remote": remote.stats() if remote else None,
-                }
-            raise BadRequest("PUT requires a digest: /cas/{digest}")
-        if "/" in digest:
-            return 404, {"ok": False,
-                         "error": f"no such endpoint {path!r}"}
-        stage = (params.get("stage") or [""])[0]
+        params = request.query
+        trace_id = (params.get("id") or [""])[0]
+        render = (params.get("format") or [""])[0]
+        if render not in ("", "json", "chrome"):
+            raise BadRequest(f"unknown trace format {render!r} "
+                             f"(choose json or chrome)")
+        limit = _limit(params)
+        if trace_id:
+            trace = self.find_trace(trace_id)
+            if trace is None:
+                return 404, {"ok": False,
+                             "error": f"no trace {trace_id!r} (it may "
+                                      f"have aged out, or the request "
+                                      f"was not sampled)"}
+            if render == "chrome":
+                return 200, telemetry.chrome_trace(trace)
+            return 200, {"ok": True, "trace": trace}
+        traces = self.recent_traces(limit)
+        return 200, {
+            "ok": True,
+            "count": len(traces),
+            "traces": [telemetry.trace_summary(t) for t in traces],
+        }
+
+    def _route_cas_stats(self, request: Request) -> tuple[int, Any]:
+        """Bare ``GET /cas``: the exchange counters."""
+        remote = self.pipeline.store.remote
+        with self._metrics_lock:
+            counters = dict(self._cas)
+        return 200, {
+            "ok": True,
+            "cas": counters,
+            "remote": remote.stats() if remote else None,
+        }
+
+    @staticmethod
+    def _cas_key(request: Request) -> ArtifactKey:
+        stage = (request.query.get("stage") or [""])[0]
         if not stage:
             raise BadRequest('query parameter "stage" is required')
-        key = ArtifactKey(stage, digest)
-        if method == "GET":
-            blob = self.pipeline.store.peek_blob(key)
-            if blob is None:
-                return 404, {"ok": False,
-                             "error": f"no artifact {key}"}
-            with self._metrics_lock:
-                self._cas["served"] += 1
-            return 200, RawPayload(blob, headers={
-                "X-CAS-Sha256": hashlib.sha256(blob).hexdigest(),
-                "X-CAS-Stage": stage,
-            })
-        expected = (params.get("sha256") or [""])[0]
+        return ArtifactKey(stage, request.args["digest"])
+
+    def _route_cas_get(self, request: Request) -> tuple[int, Any]:
+        """``GET /cas/{digest}?stage=…``: the raw pickle blob.
+
+        Served from the *local* tiers (memory peek or disk file — never
+        a peer probe, so mutually-peered fleets cannot recurse), with
+        its SHA-256 in ``X-CAS-Sha256`` for the fetcher to verify.
+        """
+        key = self._cas_key(request)
+        blob = self.pipeline.store.peek_blob(key)
+        if blob is None:
+            return 404, {"ok": False, "error": f"no artifact {key}"}
+        with self._metrics_lock:
+            self._cas["served"] += 1
+        return 200, RawPayload(blob, headers={
+            "X-CAS-Sha256": hashlib.sha256(blob).hexdigest(),
+            "X-CAS-Stage": key.stage,
+        })
+
+    def _route_cas_put(self, request: Request) -> tuple[int, Any]:
+        """``PUT /cas/{digest}?stage=…&sha256=…``: install a pushed
+        blob after verifying the checksum and that it decodes
+        (``cache prewarm --server``)."""
+        key = self._cas_key(request)
+        expected = (request.query.get("sha256") or [""])[0]
         if not expected:
             raise BadRequest('query parameter "sha256" is required '
                              'for PUT')
-        if hashlib.sha256(body).hexdigest() != expected:
+        if hashlib.sha256(request.body).hexdigest() != expected:
             raise BadRequest("blob checksum mismatch (corrupt upload)")
-        if not self.pipeline.store.import_blob(key, body):
+        if not self.pipeline.store.import_blob(key, request.body):
             raise BadRequest("blob does not decode as an artifact")
         with self._metrics_lock:
             self._cas["stored"] += 1
-        return 200, {"ok": True, "stored": True, "stage": stage,
-                     "digest": digest}
+        return 200, {"ok": True, "stored": True, "stage": key.stage,
+                     "digest": key.digest}
 
-    def _job_payload(self, record: Mapping[str, Any]) -> dict:
+    @staticmethod
+    def _job_payload(record: Mapping[str, Any]) -> dict:
         payload = {
             "ok": True,
             "job": record.get("job"),
@@ -1157,77 +1136,42 @@ class DahliaService:
             payload["error"] = record.get("error", "job failed")
         return payload
 
-    def _dispatch_jobs(self, method: str, path: str,
-                       params: Mapping[str, list[str]]) -> tuple[int, Any]:
-        """Async job introspection: listing, status polls, and (when
-        ``handle`` is called directly, without the streaming
-        transport) a buffered stand-in for ``/jobs/{id}/stream``."""
-        if method != "GET":
-            return 405, {"ok": False,
-                         "error": f"method {method} not allowed"}
-        job_id = path[len("/jobs/"):] if path.startswith("/jobs/") else ""
-        if not job_id:
-            try:
-                limit = int((params.get("limit") or ["20"])[0])
-            except ValueError:
-                raise BadRequest("malformed limit (expected an "
-                                 "integer)") from None
-            records = self.jobs.list(limit)
-            return 200, {
-                "ok": True,
-                "count": len(records),
-                "jobs": [self._job_payload(record)
-                         for record in records],
-            }
-        if job_id.endswith("/stream"):
-            job_id = job_id[:-len("/stream")]
-        if "/" in job_id or not job_id:
-            return 404, {"ok": False,
-                         "error": f"no such endpoint {path!r}"}
+    def _route_jobs(self, request: Request) -> tuple[int, Any]:
+        records = self.jobs.list(_limit(request.query))
+        return 200, {
+            "ok": True,
+            "count": len(records),
+            "jobs": [self._job_payload(record) for record in records],
+        }
+
+    def _route_job(self, request: Request) -> tuple[int, Any]:
+        """A job's status; also the buffered stand-in for
+        ``/jobs/{id}/stream`` when ``handle`` is called directly,
+        without the streaming transport."""
+        job_id = request.args["id"]
         record = self.jobs.get(job_id)
         if record is None:
-            return 404, {"ok": False,
-                         "error": f"no such job {job_id!r}"}
+            return 404, {"ok": False, "error": f"no such job {job_id!r}"}
         return 200, self._job_payload(record)
 
-    def _dispatch_session(self, method: str, path: str, body: bytes,
-                          request_id: str | None) -> tuple[int, Any]:
-        """Route the stateful edit protocol.
+    def _route_session(self, request: Request) -> tuple[int, Any]:
+        """``POST /session`` opens, ``POST /session/{id}`` applies a
+        versioned delta.
 
-        ``POST /session`` opens, ``POST /session/{id}`` applies a
-        versioned delta, ``DELETE /session/{id}`` closes. The spans
-        attribute reparsed-vs-reused segment counts, so a trace of an
-        interactive editing burst shows exactly how much of each
-        keystroke's latency was frontend work.
+        The spans attribute reparsed-vs-reused segment counts, so a
+        trace of an interactive editing burst shows exactly how much of
+        each keystroke's latency was frontend work.
         """
-        session_id = path[len("/session/"):] \
-            if path.startswith("/session/") else None
-        if session_id == "":
-            return 404, {"ok": False,
-                         "error": f"no such endpoint {path!r}"}
-        if method == "DELETE":
-            if session_id is None:
-                return 405, {"ok": False,
-                             "error": "method DELETE not allowed "
-                                      "(close a session by id: "
-                                      "DELETE /session/{id})"}
-            return self.sessions.close(session_id)
-        if method != "POST":
-            return 405, {"ok": False,
-                         "error": f"method {method} not allowed"}
-        try:
-            request = json.loads(body.decode() or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise BadRequest(f"body is not valid JSON: {error}") from None
-        if not isinstance(request, dict):
-            raise BadRequest("request body must be a JSON object")
+        body = _json_object(request.body)
+        session_id = request.args.get("id")
         stage = "session_open" if session_id is None else "session_edit"
         with telemetry.span(f"stage:{stage}") as span:
             if session_id is None:
-                status, payload = self.sessions.open(request, request_id)
+                status, payload = self.sessions.open(
+                    body, request.request_id)
             else:
-                status, payload = self.sessions.edit(session_id, request,
-                                                     request_id)
+                status, payload = self.sessions.edit(
+                    session_id, body, request.request_id)
             span.set_attr("status", status)
             if isinstance(payload, dict):
                 for key in ("session", "version", "segments",
@@ -1235,6 +1179,18 @@ class DahliaService:
                     if key in payload:
                         span.set_attr(key, payload[key])
         return status, payload
+
+    def _route_close_session(self, request: Request) -> tuple[int, Any]:
+        return self.sessions.close(request.args["id"])
+
+
+def _limit(params: Mapping[str, list[str]]) -> int:
+    """The ``?limit=N`` listing bound (default 20)."""
+    try:
+        return int((params.get("limit") or ["20"])[0])
+    except ValueError:
+        raise BadRequest("malformed limit (expected an integer)") \
+            from None
 
 
 # ---------------------------------------------------------------------------
@@ -1307,35 +1263,26 @@ def _response_bytes(status: int, body: bytes, keep_alive: bool,
     return head.encode() + body
 
 
-def _wants_stream(path: str, body: bytes) -> bool:
-    """Should this POST get the chunked NDJSON treatment?
+def _wants_stream(request: Request) -> bool:
+    """Should this request get the chunked NDJSON treatment?
 
-    Only a well-formed ``/dse`` body asking for ``stream`` in
+    Only a well-formed ``POST /dse`` body asking for ``stream`` in
     ``frontier`` mode streams; everything else (including a malformed
     body, or ``stream`` without frontier mode) takes the buffered path
     so it gets the normal error surface with real status codes.
     """
-    if path != "/dse":
+    if request.route is None or request.route.pattern != "/dse":
         return False
     try:
-        request = json.loads(body.decode() or "{}")
+        body = json.loads(request.body.decode() or "{}")
     except (UnicodeDecodeError, json.JSONDecodeError):
         return False
     # An async submission never streams inline (tail the job instead);
     # letting it reach the buffered path produces the 400 explaining
     # exactly that.
-    return (isinstance(request, dict) and bool(request.get("stream"))
-            and request.get("mode") == "frontier"
-            and not request.get("async"))
-
-
-def _job_stream_id(path: str) -> str | None:
-    """The job id when ``path`` is ``/jobs/{id}/stream``, else None."""
-    bare = path.partition("?")[0]
-    if not bare.startswith("/jobs/") or not bare.endswith("/stream"):
-        return None
-    job_id = bare[len("/jobs/"):-len("/stream")]
-    return job_id if job_id and "/" not in job_id else None
+    return (isinstance(body, dict) and bool(body.get("stream"))
+            and body.get("mode") == "frontier"
+            and not body.get("async"))
 
 
 def _stream_head(keep_alive: bool,
@@ -1489,27 +1436,26 @@ class ServiceServer:
                 and self._queued >= self.queue_depth
                 and self._semaphore.locked())
 
-    def _route_budget(self, path: str) -> float | None:
-        """Seconds of budget for ``path`` (``None`` = no deadline)."""
+    def _budget(self, request: Request) -> float | None:
+        """Seconds of budget for ``request`` (``None`` = no deadline)."""
         if self.request_timeout is None:
             return None
-        factor = DSE_BUDGET_FACTOR if path == "/dse" else 1.0
+        factor = request.route.budget if request.route else 1.0
         return self.request_timeout * factor
 
-    def _handle_with_deadline(self, budget: float, method: str,
-                              path: str, body: bytes,
-                              request_id: str | None) -> tuple[int, Any]:
+    def _dispatch_with_deadline(self, budget: float,
+                                request: Request) -> tuple[int, Any]:
         """Executor entry: arm the cooperative token, then dispatch."""
         with deadline_scope(Deadline(budget)):
-            return self.service.handle(method, path, body, request_id)
+            return self.service.dispatch(request)
 
-    async def _dispatch_post(self, loop: asyncio.AbstractEventLoop,
-                             method: str, path: str, body: bytes,
-                             request_id: str | None) -> tuple[int, Any]:
-        """Run one POST on the executor, under the route's budget.
+    async def _dispatch_work(self, loop: asyncio.AbstractEventLoop,
+                             request: Request) -> tuple[int, Any]:
+        """Run one buffered work request on the executor, under its
+        route's budget.
 
         Cooperative cancellation normally answers from inside the
-        handler (a structured 503 from ``DahliaService.handle``). If
+        handler (a structured 503 from ``DahliaService.dispatch``). If
         the thread is stuck in non-cooperative code, the transport
         stops waiting ``DEADLINE_GRACE_S`` past the budget and answers
         the 503 itself; the orphaned thread's eventual result is
@@ -1517,14 +1463,12 @@ class ServiceServer:
         not corrupted state).
         """
         assert self._executor is not None
-        budget = self._route_budget(path)
+        budget = self._budget(request)
         if budget is None:
             return await loop.run_in_executor(
-                self._executor, self.service.handle, method, path, body,
-                request_id)
+                self._executor, self.service.dispatch, request)
         future = loop.run_in_executor(
-            self._executor, self._handle_with_deadline,
-            budget, method, path, body, request_id)
+            self._executor, self._dispatch_with_deadline, budget, request)
         done, _ = await asyncio.wait({future},
                                      timeout=budget + DEADLINE_GRACE_S)
         if done:
@@ -1534,7 +1478,7 @@ class ServiceServer:
         # warning.
         future.add_done_callback(
             lambda f: f.cancelled() or f.exception())
-        self.service.record_deadline(path)
+        self.service.record_deadline()
         return 503, {
             "ok": False,
             "error": f"request deadline exceeded "
@@ -1543,79 +1487,49 @@ class ServiceServer:
             "budget_s": budget,
         }
 
-    async def _stream_dse(self, loop: asyncio.AbstractEventLoop,
-                          writer: asyncio.StreamWriter, body: bytes,
-                          request_id: str, keep_alive: bool,
-                          response_headers: Mapping[str, str]) -> None:
-        """Serve one streaming ``/dse`` request as chunked NDJSON.
+    async def _stream(self, loop: asyncio.AbstractEventLoop,
+                      writer: asyncio.StreamWriter, request: Request,
+                      keep_alive: bool,
+                      response_headers: Mapping[str, str]) -> None:
+        """Serve a streamed request as chunked NDJSON.
 
-        The frontier search runs on the executor and emits events into
-        an asyncio queue (thread → loop via ``call_soon_threadsafe``);
-        a sentinel follows the handler's completion. The first event
-        decides the wire format: an ``error`` event becomes a normal
-        buffered response with its real status code (nothing has been
-        written yet), anything else opens a chunked 200 and every
-        event — frontier updates, then the final ``result`` (or a
-        mid-stream ``error``, e.g. a deadline that expired between
-        batches) — is one JSON line in its own chunk. The cooperative
-        deadline is armed exactly as on the buffered path; there is no
-        transport backstop for streams, because the search checks the
-        deadline every batch.
-        """
-        def run(emit: Any) -> None:
-            budget = self._route_budget("/dse")
-            scope = (deadline_scope(Deadline(budget))
-                     if budget is not None
-                     else contextlib.nullcontext())
-            with scope:
-                self.service.dse_stream(body, emit, request_id)
+        A job tail (``GET /jobs/{id}/stream``) polls the possibly
+        fleet-shared job record; the stop event makes a client
+        disconnect release the tailing thread instead of letting it
+        follow the job to completion for nobody. A frontier ``/dse``
+        runs under the cooperative deadline armed exactly as on the
+        buffered path; there is no transport backstop for streams,
+        because the search checks the deadline every batch.
 
-        await self._stream_events(loop, writer, run, keep_alive,
-                                  response_headers)
-
-    async def _stream_job(self, loop: asyncio.AbstractEventLoop,
-                          writer: asyncio.StreamWriter, job_id: str,
-                          request_id: str, keep_alive: bool,
-                          response_headers: Mapping[str, str]) -> None:
-        """Serve ``GET /jobs/{id}/stream`` as chunked NDJSON.
-
-        The tail polls the (possibly fleet-shared) job record on the
-        executor; the stop event makes a client disconnect release the
-        tailing thread instead of letting it follow the job to
-        completion for nobody.
-        """
-        stop = threading.Event()
-
-        def run(emit: Any) -> None:
-            self.service.job_stream(job_id, emit, request_id, stop=stop)
-
-        try:
-            await self._stream_events(loop, writer, run, keep_alive,
-                                      response_headers)
-        finally:
-            stop.set()
-
-    async def _stream_events(self, loop: asyncio.AbstractEventLoop,
-                             writer: asyncio.StreamWriter, run: Any,
-                             keep_alive: bool,
-                             response_headers: Mapping[str, str]) -> None:
-        """Common NDJSON stream transport.
-
-        ``run(emit)`` executes on the executor and emits JSON-ready
-        event dicts (thread → loop via ``call_soon_threadsafe``); a
-        sentinel follows its completion. The first event decides the
-        wire format: an ``error`` event becomes a normal buffered
-        response with its real status code (nothing has been written
-        yet); anything else opens a chunked 200 and every event is one
-        JSON line in its own chunk.
+        The handler runs on the executor and emits JSON-ready event
+        dicts (thread → loop via ``call_soon_threadsafe``); a sentinel
+        follows its completion. The first event decides the wire
+        format: an ``error`` event becomes a normal buffered response
+        with its real status code (nothing has been written yet);
+        anything else opens a chunked 200 and every event — frontier
+        updates, then the final ``result`` (or a mid-stream ``error``,
+        e.g. a deadline that expired between batches) — is one JSON
+        line in its own chunk.
         """
         assert self._executor is not None
+        stop = threading.Event()
+        budget = self._budget(request)
         queue: asyncio.Queue = asyncio.Queue()
 
         def emit(event: dict) -> None:
             loop.call_soon_threadsafe(queue.put_nowait, event)
 
-        future = loop.run_in_executor(self._executor, run, emit)
+        def run() -> None:
+            if request.admission == STREAM:
+                self.service.job_stream(request.args["id"], emit,
+                                        request.request_id, stop=stop)
+                return
+            with (deadline_scope(Deadline(budget)) if budget is not None
+                  else contextlib.nullcontext()):
+                self.service.dse_stream(request.body, emit,
+                                        request.request_id)
+
+        future = loop.run_in_executor(self._executor, run)
 
         def finish(f: Any) -> None:
             # Runs on the loop, after every emit already queued from
@@ -1625,37 +1539,40 @@ class ServiceServer:
             queue.put_nowait(None)
 
         future.add_done_callback(finish)
-        first = await queue.get()
-        if first is None:                     # pragma: no cover — the
-            # service layer never raises, so an empty stream means the
-            # executor thread itself died; answer a plain 500.
-            data = encode_payload({"ok": False,
-                                   "error": "stream produced no events"})
-            writer.write(_response_bytes(500, data, keep_alive,
-                                         response_headers))
+        try:
+            first = await queue.get()
+            if first is None:                 # pragma: no cover — the
+                # service layer never raises, so an empty stream means
+                # the executor thread itself died; answer a plain 500.
+                data = encode_payload({"ok": False, "error":
+                                       "stream produced no events"})
+                writer.write(_response_bytes(500, data, keep_alive,
+                                             response_headers))
+                await writer.drain()
+                return
+            if first.get("type") == "error":
+                # Failed before any frontier output: the client gets an
+                # ordinary response with the real status, byte-identical
+                # to the buffered path's error envelope.
+                status = int(first.get("status", 500))
+                data = encode_payload(first.get("payload"))
+                writer.write(_response_bytes(status, data, keep_alive,
+                                             response_headers))
+                await writer.drain()
+                while await queue.get() is not None:
+                    pass
+                return
+            writer.write(_stream_head(keep_alive, response_headers))
+            event: dict | None = first
+            while event is not None:
+                line = (json.dumps(event) + "\n").encode()
+                writer.write(_chunk_bytes(line))
+                await writer.drain()
+                event = await queue.get()
+            writer.write(b"0\r\n\r\n")
             await writer.drain()
-            return
-        if first.get("type") == "error":
-            # Failed before any frontier output: the client gets an
-            # ordinary response with the real status, byte-identical
-            # to the buffered path's error envelope.
-            status = int(first.get("status", 500))
-            data = encode_payload(first.get("payload"))
-            writer.write(_response_bytes(status, data, keep_alive,
-                                         response_headers))
-            await writer.drain()
-            while await queue.get() is not None:
-                pass
-            return
-        writer.write(_stream_head(keep_alive, response_headers))
-        event: dict | None = first
-        while event is not None:
-            line = (json.dumps(event) + "\n").encode()
-            writer.write(_chunk_bytes(line))
-            await writer.drain()
-            event = await queue.get()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+        finally:
+            stop.set()
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
@@ -1663,7 +1580,7 @@ class ServiceServer:
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
+                    parsed = await _read_request(reader)
                 except (BadRequest, ValueError) as error:
                     # ValueError covers asyncio's LimitOverrunError
                     # when a request or header line exceeds the
@@ -1672,34 +1589,31 @@ class ServiceServer:
                     writer.write(_response_bytes(400, body, False))
                     linger = True
                     break
-                if request is None:
+                if parsed is None:
                     break
-                method, path, headers, body = request
+                method, target, headers, body = parsed
                 keep_alive = headers.get("connection",
                                          "").lower() != "close"
                 # The client's correlation id (minted here when the
                 # client sent none) is the trace id for POSTs and is
                 # echoed back on every response, so client-side logs
                 # join server-side traces.
-                request_id = (headers.get("x-request-id", "").strip()
-                              or telemetry.new_id())
+                request = Request.parse(
+                    method, target, body,
+                    headers.get("x-request-id", "").strip() or None)
                 loop = asyncio.get_running_loop()
                 assert self._semaphore and self._executor
                 response_headers: dict[str, str] = {
-                    "X-Request-Id": request_id}
-                if method == "GET" and _job_stream_id(path) is not None:
-                    # Tail an async job as chunked NDJSON. Like other
-                    # GETs this bypasses the admission semaphore — the
-                    # tail is I/O-bound polling, not pipeline work, and
-                    # a stuck fleet must stay observable.
-                    await self._stream_job(
-                        loop, writer, _job_stream_id(path) or "",
-                        request_id, keep_alive,
-                        {"X-Request-Id": request_id})
-                    if not keep_alive:
-                        break
-                    continue
-                if method == "GET":
+                    "X-Request-Id": request.request_id}
+                streamed = False
+                if request.admission == STREAM:
+                    # A job tail bypasses the admission semaphore like
+                    # a probe: it is I/O-bound polling, not pipeline
+                    # work, and a stuck fleet must stay observable.
+                    await self._stream(loop, writer, request, keep_alive,
+                                       response_headers)
+                    streamed = True
+                elif request.admission == PROBE:
                     # Probes (/healthz, /metrics, /stages) bypass the
                     # semaphore so they answer even when every slot is
                     # held by a long-running sweep. On a boarded worker
@@ -1707,16 +1621,14 @@ class ServiceServer:
                     # on the executor to keep the accept loop clean.
                     if self.service.board is not None:
                         status, payload = await loop.run_in_executor(
-                            self._executor, self.service.handle,
-                            method, path, body, request_id)
+                            self._executor, self.service.dispatch, request)
                     else:
-                        status, payload = self.service.handle(
-                            method, path, body, request_id)
+                        status, payload = self.service.dispatch(request)
                 elif self._should_shed():
                     # Admission control: every slot is busy and the
                     # wait queue is at its watermark — shed with 429
                     # rather than queueing without bound.
-                    self.service.record_shed(path)
+                    self.service.record_shed(request)
                     status = 429
                     payload = {
                         "ok": False,
@@ -1727,30 +1639,6 @@ class ServiceServer:
                     }
                     response_headers["Retry-After"] = str(
                         max(1, round(RETRY_AFTER_S)))
-                elif method == "POST" and \
-                        _wants_stream(path.partition("?")[0], body):
-                    # Streaming /dse: same admission slot as any POST,
-                    # but the response is written incrementally inside
-                    # _stream_dse (chunked NDJSON), so there is
-                    # nothing to encode below — continue to the next
-                    # keep-alive request directly.
-                    self._queued += 1
-                    try:
-                        await self._semaphore.acquire()
-                    finally:
-                        self._queued -= 1
-                    try:
-                        await self._stream_dse(
-                            loop, writer, body, request_id, keep_alive,
-                            {"X-Request-Id": request_id})
-                    finally:
-                        self._semaphore.release()
-                    if self.service.board is not None:
-                        await loop.run_in_executor(
-                            self._executor, self.service.publish_stats)
-                    if not keep_alive:
-                        break
-                    continue
                 else:
                     self._queued += 1
                     try:
@@ -1758,8 +1646,16 @@ class ServiceServer:
                     finally:
                         self._queued -= 1
                     try:
-                        status, payload = await self._dispatch_post(
-                            loop, method, path, body, request_id)
+                        if _wants_stream(request):
+                            # Streaming /dse: the response is written
+                            # incrementally (chunked NDJSON) inside the
+                            # slot, so there is nothing to encode below.
+                            await self._stream(loop, writer, request,
+                                               keep_alive, response_headers)
+                            streamed = True
+                        else:
+                            status, payload = await self._dispatch_work(
+                                loop, request)
                     finally:
                         self._semaphore.release()
                     if self.service.board is not None:
@@ -1769,6 +1665,10 @@ class ServiceServer:
                         # stalls the accept loop.
                         await loop.run_in_executor(
                             self._executor, self.service.publish_stats)
+                if streamed:
+                    if not keep_alive:
+                        break
+                    continue
                 if isinstance(payload, RawPayload):
                     # The /cas blob exchange: raw bytes, not JSON.
                     raw_headers = dict(response_headers)
@@ -1932,10 +1832,9 @@ class BackgroundServer:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _WorkerConfig:
-    """Everything a worker process needs (picklable for ``spawn``)."""
+class _ServeConfig:
+    """Everything a serving process needs (picklable for ``spawn``)."""
 
-    worker: int
     host: str
     port: int
     capacity: int
@@ -1943,16 +1842,38 @@ class _WorkerConfig:
     dse_workers: int | None
     cache_dir: str | None
     cache_bytes: int
-    board_dir: str
-    reuse_port: bool
-    request_timeout: float | None = None
-    queue_depth: int | None = None
-    fault_plan: str | None = None
-    trace_sample: float | None = None
-    slow_request_ms: float | None = None
-    max_sessions: int = DEFAULT_SESSION_CAPACITY
-    session_ttl: float = DEFAULT_SESSION_TTL_S
-    peers: tuple[str, ...] | None = None
+    request_timeout: float | None
+    queue_depth: int | None
+    fault_plan: str | None
+    trace_sample: float | None
+    slow_request_ms: float | None
+    max_sessions: int
+    session_ttl: float
+    peers: tuple[str, ...] | None
+
+    def install_fault_plan(self) -> None:
+        if self.fault_plan:
+            from ..util.faults import FaultPlan, install_plan
+
+            install_plan(FaultPlan.from_file(self.fault_plan))
+
+    def service(self, **placement: Any) -> DahliaService:
+        """This process's service; ``placement`` adds its board and
+        spool directories."""
+        return DahliaService(
+            capacity=self.capacity, dse_workers=self.dse_workers,
+            cache_dir=self.cache_dir, cache_bytes=self.cache_bytes,
+            trace_sample=self.trace_sample,
+            slow_request_ms=self.slow_request_ms,
+            max_sessions=self.max_sessions, session_ttl=self.session_ttl,
+            peers=self.peers, **placement)
+
+    def server(self, service: DahliaService, port: int,
+               sock: socket.socket | None = None) -> ServiceServer:
+        return ServiceServer(service, self.host, port,
+                             max_inflight=self.max_inflight, sock=sock,
+                             request_timeout=self.request_timeout,
+                             queue_depth=self.queue_depth)
 
 
 def _bind_socket(host: str, port: int, *, reuse_port: bool,
@@ -1971,7 +1892,8 @@ def _bind_socket(host: str, port: int, *, reuse_port: bool,
     return sock
 
 
-def _worker_main(config: _WorkerConfig,
+def _worker_main(config: _ServeConfig, worker: int, port: int,
+                 board_dir: Path,
                  listen_sock: socket.socket | None) -> None:
     """One prefork worker: its own service, cache view, and board file.
 
@@ -1986,32 +1908,19 @@ def _worker_main(config: _WorkerConfig,
     # useless copy of the parent's stop event instead of terminating.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    if config.fault_plan:
-        from ..util.faults import FaultPlan, install_plan
-
-        install_plan(FaultPlan.from_file(config.fault_plan))
-    board = WorkerBoard(config.board_dir, worker=config.worker)
-    service = DahliaService(
-        capacity=config.capacity, dse_workers=config.dse_workers,
-        cache_dir=config.cache_dir, cache_bytes=config.cache_bytes,
-        board=board, trace_sample=config.trace_sample,
-        slow_request_ms=config.slow_request_ms,
-        trace_dir=Path(config.board_dir) / "traces",
-        max_sessions=config.max_sessions,
-        session_ttl=config.session_ttl,
-        session_dir=Path(config.board_dir) / "sessions",
-        peers=config.peers,
-        job_dir=Path(config.board_dir) / "jobs")
+    config.install_fault_plan()
+    service = config.service(
+        board=WorkerBoard(board_dir, worker=worker),
+        trace_dir=board_dir / "traces",
+        session_dir=board_dir / "sessions",
+        job_dir=board_dir / "jobs")
 
     async def run() -> None:
         sock = listen_sock
         if sock is None:
-            sock = _bind_socket(config.host, config.port,
+            sock = _bind_socket(config.host, port,
                                 reuse_port=True, listen=True)
-        server = ServiceServer(service, config.host, config.port,
-                               max_inflight=config.max_inflight, sock=sock,
-                               request_timeout=config.request_timeout,
-                               queue_depth=config.queue_depth)
+        server = config.server(service, port, sock=sock)
         await server.start()
         try:
             await asyncio.Event().wait()
@@ -2024,18 +1933,7 @@ def _worker_main(config: _WorkerConfig,
         pass
 
 
-def _serve_prefork(host: str, port: int, *, capacity: int,
-                   max_inflight: int, dse_workers: int | None,
-                   workers: int, cache_dir: str | None,
-                   cache_bytes: int,
-                   request_timeout: float | None = None,
-                   queue_depth: int | None = None,
-                   fault_plan: str | None = None,
-                   trace_sample: float | None = None,
-                   slow_request_ms: float | None = None,
-                   max_sessions: int = DEFAULT_SESSION_CAPACITY,
-                   session_ttl: float = DEFAULT_SESSION_TTL_S,
-                   peers: tuple[str, ...] | None = None) -> None:
+def _serve_prefork(config: _ServeConfig, workers: int) -> None:
     """Supervise a fleet of worker processes sharing one port."""
     import multiprocessing
     import signal
@@ -2049,53 +1947,36 @@ def _serve_prefork(host: str, port: int, *, capacity: int,
     else:                                     # pragma: no cover — exotic
         print("warning: neither fork nor SO_REUSEPORT available; "
               "serving single-process", flush=True)
-        return _serve_single(host, port, capacity=capacity,
-                             max_inflight=max_inflight,
-                             dse_workers=dse_workers,
-                             cache_dir=cache_dir, cache_bytes=cache_bytes,
-                             request_timeout=request_timeout,
-                             queue_depth=queue_depth,
-                             fault_plan=fault_plan,
-                             trace_sample=trace_sample,
-                             slow_request_ms=slow_request_ms,
-                             max_sessions=max_sessions,
-                             session_ttl=session_ttl, peers=peers)
+        return _serve_single(config)
 
+    host = config.host
     if reuse_port:
         # Bind (without listening) to resolve the port and hold it for
         # respawns; every worker binds its own SO_REUSEPORT socket and
         # the kernel load-balances accepted connections across them.
-        guard = _bind_socket(host, port, reuse_port=True, listen=False)
+        guard = _bind_socket(host, config.port, reuse_port=True,
+                             listen=False)
         listen_sock: socket.socket | None = None
     else:
         # No SO_REUSEPORT: bind + listen once and let every forked
         # worker accept on the inherited descriptor.
-        guard = _bind_socket(host, port, reuse_port=False, listen=True)
+        guard = _bind_socket(host, config.port, reuse_port=False,
+                             listen=True)
         listen_sock = guard
     port = guard.getsockname()[1]
 
+    cache_dir = config.cache_dir
     board_is_temp = cache_dir is None
     board_dir = (Path(tempfile.mkdtemp(prefix="dahlia-board-"))
                  if board_is_temp else Path(cache_dir) / "workers")
-    board_dir.mkdir(parents=True, exist_ok=True)
-    for stale in board_dir.glob("worker-*.json"):
-        with contextlib.suppress(OSError):
-            stale.unlink()
+    # A previous fleet's records would report its dead workers.
+    WorkerBoard(board_dir).spool.prune(0)
 
     def spawn(index: int):
-        config = _WorkerConfig(
-            worker=index, host=host, port=port, capacity=capacity,
-            max_inflight=max_inflight, dse_workers=dse_workers,
-            cache_dir=cache_dir, cache_bytes=cache_bytes,
-            board_dir=str(board_dir), reuse_port=reuse_port,
-            request_timeout=request_timeout, queue_depth=queue_depth,
-            fault_plan=fault_plan, trace_sample=trace_sample,
-            slow_request_ms=slow_request_ms,
-            max_sessions=max_sessions, session_ttl=session_ttl,
-            peers=tuple(peers) if peers else None)
-        process = context.Process(target=_worker_main,
-                                  args=(config, listen_sock),
-                                  name=f"dahlia-worker-{index}")
+        process = context.Process(
+            target=_worker_main,
+            args=(config, index, port, board_dir, listen_sock),
+            name=f"dahlia-worker-{index}")
         process.start()
         return process, time.monotonic()
 
@@ -2116,7 +1997,8 @@ def _serve_prefork(host: str, port: int, *, capacity: int,
     print(f"dahlia-py service listening on http://{host}:{port} "
           f"({workers} workers via "
           f"{'SO_REUSEPORT' if reuse_port else 'shared listener'}, "
-          f"{tier}, max in-flight {max_inflight}/worker)", flush=True)
+          f"{tier}, max in-flight {config.max_inflight}/worker)",
+          flush=True)
 
     try:
         while not stop.is_set():
@@ -2154,44 +2036,23 @@ def _serve_prefork(host: str, port: int, *, capacity: int,
             shutil.rmtree(board_dir, ignore_errors=True)
 
 
-def _serve_single(host: str, port: int, *, capacity: int,
-                  max_inflight: int, dse_workers: int | None,
-                  cache_dir: str | None, cache_bytes: int,
-                  request_timeout: float | None = None,
-                  queue_depth: int | None = None,
-                  fault_plan: str | None = None,
-                  trace_sample: float | None = None,
-                  slow_request_ms: float | None = None,
-                  max_sessions: int = DEFAULT_SESSION_CAPACITY,
-                  session_ttl: float = DEFAULT_SESSION_TTL_S,
-                  peers: tuple[str, ...] | None = None) -> None:
-    if fault_plan:
-        from ..util.faults import FaultPlan, install_plan
-
-        install_plan(FaultPlan.from_file(fault_plan))
+def _serve_single(config: _ServeConfig) -> None:
+    config.install_fault_plan()
+    cache_dir = config.cache_dir
     # Spooled jobs need a directory; ride the cache dir so restarts
     # (and CLI inspection) resolve the same records. Memory-only
     # deployments keep jobs process-local.
-    job_dir = Path(cache_dir) / "jobs" if cache_dir else None
-    service = DahliaService(capacity=capacity, dse_workers=dse_workers,
-                            cache_dir=cache_dir, cache_bytes=cache_bytes,
-                            trace_sample=trace_sample,
-                            slow_request_ms=slow_request_ms,
-                            max_sessions=max_sessions,
-                            session_ttl=session_ttl,
-                            peers=peers, job_dir=job_dir)
+    service = config.service(
+        job_dir=Path(cache_dir) / "jobs" if cache_dir else None)
 
     async def main() -> None:
-        server = ServiceServer(service, host, port,
-                               max_inflight=max_inflight,
-                               request_timeout=request_timeout,
-                               queue_depth=queue_depth)
+        server = config.server(service, config.port)
         await server.start()
         tier = f"disk tier {cache_dir}" if cache_dir else "memory-only cache"
         print(f"dahlia-py service listening on "
               f"http://{server.host}:{server.port} "
-              f"(cache capacity {capacity}, {tier}, "
-              f"max in-flight {max_inflight})", flush=True)
+              f"(cache capacity {config.capacity}, {tier}, "
+              f"max in-flight {config.max_inflight})", flush=True)
         try:
             await asyncio.Event().wait()
         finally:
@@ -2233,28 +2094,16 @@ def serve(host: str = "127.0.0.1", port: int = 8080, *,
     """
     if cache_dir is None:
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    cache_dir = str(cache_dir) if cache_dir else None
-    peer_tuple = tuple(peers) if peers else None
-    workers = max(1, workers)
-    if workers == 1:
-        _serve_single(host, port, capacity=capacity,
-                      max_inflight=max_inflight, dse_workers=dse_workers,
-                      cache_dir=cache_dir, cache_bytes=cache_bytes,
-                      request_timeout=request_timeout,
-                      queue_depth=queue_depth, fault_plan=fault_plan,
-                      trace_sample=trace_sample,
-                      slow_request_ms=slow_request_ms,
-                      max_sessions=max_sessions, session_ttl=session_ttl,
-                      peers=peer_tuple)
+    config = _ServeConfig(
+        host=host, port=port, capacity=capacity, max_inflight=max_inflight,
+        dse_workers=dse_workers,
+        cache_dir=str(cache_dir) if cache_dir else None,
+        cache_bytes=cache_bytes, request_timeout=request_timeout,
+        queue_depth=queue_depth, fault_plan=fault_plan,
+        trace_sample=trace_sample, slow_request_ms=slow_request_ms,
+        max_sessions=max_sessions, session_ttl=session_ttl,
+        peers=tuple(peers) if peers else None)
+    if workers > 1:
+        _serve_prefork(config, workers)
     else:
-        _serve_prefork(host, port, capacity=capacity,
-                       max_inflight=max_inflight, dse_workers=dse_workers,
-                       workers=workers, cache_dir=cache_dir,
-                       cache_bytes=cache_bytes,
-                       request_timeout=request_timeout,
-                       queue_depth=queue_depth, fault_plan=fault_plan,
-                       trace_sample=trace_sample,
-                       slow_request_ms=slow_request_ms,
-                       max_sessions=max_sessions,
-                       session_ttl=session_ttl,
-                       peers=peer_tuple)
+        _serve_single(config)

@@ -24,8 +24,9 @@ Protocol rules:
   (least-recently-touched evicted first) and drops sessions idle
   longer than ``ttl_s``.
 * **Fleet** — with a ``spool_dir`` (the prefork worker board
-  directory), every applied edit is spooled write-then-rename, so any
-  worker can *hydrate* a session another worker owns: requests for an
+  directory), every applied edit is spooled write-then-rename in a
+  :class:`~repro.util.spool.Spool`, so any worker can *hydrate* a
+  session another worker owns: requests for an
   unknown-but-spooled session rebuild the document from the spooled
   text, and a session known at an older version fast-forwards by
   content (unchanged defs are still reused). Retried requests replay
@@ -40,7 +41,6 @@ segments that broke since.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 import time
@@ -52,7 +52,7 @@ from ..frontend.incremental import IncrementalDocument
 from ..source import SourceFile
 from ..util import telemetry
 from ..util.diagnostics import diagnostic_payload
-from ..util.fsio import atomic_write, reap_temp_debris
+from ..util.spool import Spool
 from .pipeline import CompilerPipeline, check_report_fields
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "DEFAULT_SESSION_TTL_S",
     "EditSession",
     "SessionManager",
-    "SessionSpool",
     "check_payload_for",
 ]
 
@@ -124,68 +123,6 @@ class EditSession:
         self.touched = time.monotonic()
 
 
-class SessionSpool:
-    """Write-then-rename session records shared by a worker fleet.
-
-    Same filesystem-only coordination as the worker board and trace
-    spool: one JSON file per session, named by a hash of the id
-    (client-supplied ids must not become path components), pruned to
-    the newest :data:`MAX_FILES`.
-    """
-
-    MAX_FILES = 256
-    _PRUNE_EVERY = 32
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._writes = 0
-        reap_temp_debris(self.root)
-
-    def path_for(self, session_id: str) -> Path:
-        import hashlib
-
-        digest = hashlib.sha256(session_id.encode()).hexdigest()[:32]
-        return self.root / f"{digest}.json"
-
-    def write(self, record: Mapping[str, Any]) -> None:
-        atomic_write(self.path_for(str(record["id"])),
-                     json.dumps(record).encode(), tmp_dir=self.root)
-        with self._lock:
-            self._writes += 1
-            prune = self._writes % self._PRUNE_EVERY == 0
-        if prune:
-            self._prune()
-
-    def read(self, session_id: str) -> dict | None:
-        try:
-            return json.loads(self.path_for(session_id).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None                       # absent, mid-replace, torn
-
-    def delete(self, session_id: str) -> bool:
-        try:
-            self.path_for(session_id).unlink()
-            return True
-        except OSError:
-            return False
-
-    def _prune(self) -> None:
-        import contextlib
-
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        entries.sort(reverse=True)
-        for _, path in entries[self.MAX_FILES:]:
-            with contextlib.suppress(OSError):
-                path.unlink()
-
-
 class SessionManager:
     """The `/session` protocol: bounded, versioned, fleet-aware.
 
@@ -201,7 +138,7 @@ class SessionManager:
         self.pipeline = pipeline
         self.capacity = max(1, int(capacity))
         self.ttl_s = float(ttl_s)
-        self.spool = SessionSpool(spool_dir) if spool_dir else None
+        self.spool = Spool(spool_dir) if spool_dir else None
         self._sessions: dict[str, EditSession] = {}
         self._lock = threading.Lock()
         self._counters = {
@@ -317,7 +254,7 @@ class SessionManager:
     def _publish(self, session: EditSession) -> None:
         if self.spool is None:
             return
-        self.spool.write({
+        self.spool.write(session.id, {
             "id": session.id,
             "version": session.version,
             "text": session.document.text,

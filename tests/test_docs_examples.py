@@ -315,6 +315,47 @@ def test_every_documented_route_exists_and_vice_versa(server):
             f"documented route {method} {path} is not served"
 
 
+def curl_requests(text: str) -> list[tuple[str, str]]:
+    """``(method, bare path)`` of every ``curl … localhost:N/path``."""
+    requests = []
+    for line in text.replace("\\\n", " ").splitlines():
+        tokens = shlex.split(line, comments=True)
+        if "curl" not in tokens:
+            continue
+        args = tokens[tokens.index("curl") + 1:]
+        method, path = None, None
+        for flag, value in zip(args, args[1:] + [""]):
+            if flag == "-X":
+                method = value
+            elif flag in ("-d", "--data", "--data-binary") \
+                    and method is None:
+                method = "POST"
+        for token in args:
+            match = re.match(r"(?:https?://)?localhost:\d+(/[^?#]*)", token)
+            if match:
+                path = match.group(1)
+        assert path is not None, f"curl without a localhost target: {line}"
+        requests.append((method or "GET", path))
+    return requests
+
+
+def test_documented_curl_requests_resolve_to_route_methods():
+    """Every documented ``curl`` names a route that serves its method
+    (``-X``, else POST with a body, else GET), and the route set the
+    docs check against is the route table itself."""
+    from repro.service.server import ROUTES, match_route
+
+    assert KNOWN_PATHS == {route.metric for route in ROUTES}
+    requests = [(fence.where, method, path) for fence in SH_FENCES
+                for method, path in curl_requests(fence.text)]
+    assert {method for _, method, _ in requests} \
+        >= {"GET", "POST", "PUT", "DELETE"}
+    for where, method, path in requests:
+        route, _, _ = match_route(method, path)
+        assert route is not None, \
+            f"{where}: curl {method} {path} matches no served route"
+
+
 def test_every_live_stage_is_documented(server):
     status, body = raw_request(server, "GET", "/stages", None)
     assert status == 200

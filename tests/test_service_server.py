@@ -369,3 +369,88 @@ def test_client_address_parsing():
     assert (client.host, client.port) == ("10.0.0.2", 8081)
     with pytest.raises(ValueError):
         ServiceClient.from_address("nonsense")
+
+
+def test_cli_json_rejection_via_server_matches_local(server, bad_file,
+                                                     capsys):
+    assert main(["check", bad_file, "--json"]) == 1
+    local = capsys.readouterr()
+    assert main(["check", bad_file, "--json", "--server",
+                 f"127.0.0.1:{server.port}"]) == 1
+    remote = capsys.readouterr()
+    assert json.loads(local.err)["kind"] == "already-consumed"
+    assert (remote.out, remote.err) == (local.out, local.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "{file}", "--erase"],
+    ["run", "{file}", "--no-check"],
+])
+def test_cli_forwarded_options_via_server_match_local(server, good_file,
+                                                      capsys, argv):
+    argv = [good_file if token == "{file}" else token for token in argv]
+    assert main(argv) == 0
+    local = capsys.readouterr()
+    assert main(argv + ["--server", f"127.0.0.1:{server.port}"]) == 0
+    assert capsys.readouterr() == local
+
+
+def test_cli_session_via_server_matches_local(server, good_file, capsys,
+                                              monkeypatch):
+    import io
+
+    script = ("line 4   A[i] := 2.0;\n"
+              "line 4   A[i] :=\n"
+              "show\n"
+              "bogus\n"
+              "quit\n")
+    outputs = []
+    for extra in ([], ["--server", f"127.0.0.1:{server.port}"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        assert main(["session", good_file, *extra]) == 0
+        outputs.append(capsys.readouterr())
+    local, remote = outputs
+    assert "v2:" in local.out and "ERROR" in local.out
+    assert (remote.out, remote.err) == (local.out, local.err)
+
+
+# ---------------------------------------------------------------------------
+# The route table: one match on the query-stripped path
+# ---------------------------------------------------------------------------
+
+def test_budget_factor_is_looked_up_on_the_bare_path():
+    from repro.service.server import (
+        DSE_BUDGET_FACTOR,
+        Request,
+        ServiceServer,
+    )
+
+    request = Request.parse("POST", "/dse?tag=1", b"{}")
+    assert request.route is not None
+    assert request.route.budget == DSE_BUDGET_FACTOR
+    server = ServiceServer(DahliaService(), request_timeout=1.0)
+    assert server._budget(request) == DSE_BUDGET_FACTOR
+    assert server._budget(Request.parse("POST", "/check?x=1", b"")) == 1.0
+
+
+def test_shed_request_with_query_lands_in_its_route_row():
+    """Hold the only in-flight slot, then a POST with a query string is
+    shed; its 429 must count under its route's row, the same row a
+    served request of that route counts under."""
+    import asyncio
+
+    with BackgroundServer(DahliaService(), max_inflight=1,
+                          queue_depth=0) as background:
+        loop, transport = background._loop, background.server
+        asyncio.run_coroutine_threadsafe(
+            transport._semaphore.acquire(), loop).result(timeout=10)
+        client = ServiceClient(port=background.port)
+        try:
+            status, _ = client.raw("POST", "/check?x=1", {"source": GOOD})
+        finally:
+            client.close()
+            loop.call_soon_threadsafe(transport._semaphore.release)
+        rows = background.service.local_metrics()["endpoints"]
+    assert status == 429
+    assert rows["/check"]["errors"] == 1
+    assert "(unknown)" not in rows
